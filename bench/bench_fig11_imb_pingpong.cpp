@@ -27,7 +27,7 @@ sim::Time imb_time(const core::OmxConfig& cfg, imb::Test test,
     const sim::Time t = imb::run_test(c, test, bytes, reps);
     if (c.rank() == 0) out = t;
   });
-  if (metrics) collect_cluster_metrics(cluster, *metrics);
+  if (metrics) cluster.collect_metrics(*metrics);
   return out;
 }
 

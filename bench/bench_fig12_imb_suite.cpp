@@ -37,7 +37,7 @@ TimedPoint imb_time(const core::OmxConfig& cfg, imb::Test test,
     const sim::Time t = imb::run_test(c, test, bytes, reps);
     if (c.rank() == 0) out.t = t;
   });
-  collect_cluster_metrics(cluster, out.reg);
+  cluster.collect_metrics(out.reg);
   return out;
 }
 

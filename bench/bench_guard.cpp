@@ -117,8 +117,8 @@ std::vector<Metric> compute_metrics() {
   // collapsing spin barrier shows up here first).
   {
     auto w1_parity = [] {
-      const bench::SimSpeedPoint seq = bench::sim_speed_sequential(8, 12);
-      const bench::SimSpeedPoint w1 = bench::sim_speed_multi_lp(8, 1, 12);
+      const bench::SimSpeedPoint seq = bench::sim_speed(8, 1, 1, 12);
+      const bench::SimSpeedPoint w1 = bench::sim_speed(8, 8, 1, 12);
       return seq.events_per_sec > 0 ? w1.events_per_sec / seq.events_per_sec
                                     : 0;
     };

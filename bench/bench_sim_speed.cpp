@@ -5,8 +5,8 @@
 // harness can run.
 //
 // After the micro-benchmarks, main() measures the single-run scale-out
-// KPI: events/sec of an 8-node ring mesh on the sequential Cluster vs.
-// the multi-LP ParallelCluster at 1/2/4 workers, written to
+// KPI: events/sec of an 8-node ring mesh on a one-LP Cluster vs. an
+// 8-LP Cluster at 1/2/4 workers, written to
 // BENCH_sim_speed_metrics.json (and guarded by bench_guard's
 // sim_speed.par_ratio_w1 row).
 #include <benchmark/benchmark.h>
@@ -22,7 +22,6 @@
 #include "bench/lp_mesh.hpp"
 #include "core/cluster.hpp"
 #include "core/endpoint.hpp"
-#include "core/parallel_cluster.hpp"
 #include "dma/ioat.hpp"
 #include "mem/cache_model.hpp"
 #include "obs/registry.hpp"
@@ -86,8 +85,7 @@ BENCHMARK(BM_EngineNestedTimersStdFunction);
 
 namespace {
 // Driver-style timer churn: many concurrent flows, each rescheduling a
-// short-delay timer from its own callback — the workload the optional
-// timer wheel is built for (every insert lands in wheel level 0).
+// short-delay timer from its own callback.
 struct ShortTick {
   sim::Engine* e;
   int* remaining;
@@ -96,14 +94,13 @@ struct ShortTick {
     if (--*remaining > 0) e->schedule(delay, *this);
   }
 };
+}  // namespace
 
-template <bool UseWheel>
-void engine_short_timers(benchmark::State& state) {
+static void BM_EngineShortTimersHeap(benchmark::State& state) {
   constexpr int kFlows = 256;
   constexpr int kEvents = 16384;
   for (auto _ : state) {
-    sim::Engine e(sim::EngineConfig{.timer_wheel = UseWheel,
-                                    .wheel_granularity_shift = 0});
+    sim::Engine e;
     int remaining = kEvents;
     for (int i = 0; i < kFlows; ++i)
       e.schedule(1 + i % 61, ShortTick{&e, &remaining, 1 + i % 61});
@@ -111,17 +108,7 @@ void engine_short_timers(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kEvents);
 }
-}  // namespace
-
-static void BM_EngineShortTimersHeap(benchmark::State& state) {
-  engine_short_timers<false>(state);
-}
 BENCHMARK(BM_EngineShortTimersHeap);
-
-static void BM_EngineShortTimersWheel(benchmark::State& state) {
-  engine_short_timers<true>(state);
-}
-BENCHMARK(BM_EngineShortTimersWheel);
 
 static void BM_EngineCancelTimers(benchmark::State& state) {
   // The retransmission-timer pattern: schedule a cancellable guard, then
@@ -199,7 +186,7 @@ static void BM_MultiLpRingMesh(benchmark::State& state) {
   // by the benchmark argument.
   const auto workers = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    const bench::SimSpeedPoint p = bench::sim_speed_multi_lp(8, workers, 4);
+    const bench::SimSpeedPoint p = bench::sim_speed(8, 8, workers, 4);
     benchmark::DoNotOptimize(p.events);
     state.SetItemsProcessed(static_cast<int64_t>(state.items_processed()) +
                             static_cast<int64_t>(p.events));
@@ -230,7 +217,7 @@ void run_scaleout_kpi() {
   const bool prof_on = prof.compiled_in() && prof.enabled();
 
   prof.reset();
-  const bench::SimSpeedPoint seq = bench::sim_speed_sequential(kNodes, kIters);
+  const bench::SimSpeedPoint seq = bench::sim_speed(kNodes, 1, 1, kIters);
   const double seq_coverage = prof.coverage("engine.run");
   if (prof_on) prof.export_metrics(wall, "seq.");
   std::printf("\n=== sim_speed scale-out KPI (%d-node ring, %d iters) ===\n",
@@ -265,8 +252,8 @@ void run_scaleout_kpi() {
     const std::string lp_trace =
         instrument ? bench::out_path("BENCH_sim_speed_lp_trace.json") : "";
     prof.reset();
-    const bench::SimSpeedPoint mlp = bench::sim_speed_multi_lp(
-        kNodes, workers, kIters, instrument ? &reg : nullptr, lp_trace);
+    const bench::SimSpeedPoint mlp = bench::sim_speed(
+        kNodes, kNodes, workers, kIters, instrument ? &reg : nullptr, lp_trace);
     // Barrier share: wall time in lp.barrier_wait over all workers'
     // top-level zone time — the scale-out tax the profiler was built to
     // expose (compute shrinks with workers, the barrier does not).

@@ -70,20 +70,6 @@ inline OmxConfig cfg_omx_nocopy() {
   return c;
 }
 
-/// Folds every per-component registry of the cluster into `out`, in a
-/// fixed order (node index, then component, then the network), so the
-/// merged result is deterministic and SweepRunner-safe.
-inline void collect_cluster_metrics(Cluster& cluster, obs::Registry& out) {
-  for (std::size_t i = 0; i < cluster.num_nodes(); ++i) {
-    core::Node& n = cluster.node(i);
-    out.merge(n.driver().counters());
-    out.merge(n.driver().regcache().counters());
-    out.merge(n.nic().counters());
-    out.merge(n.ioat().counters());
-  }
-  out.merge(cluster.network().counters());
-}
-
 /// Where bench artifacts (BENCH_*.json metrics, traces) land: the
 /// OMX_BENCH_OUT_DIR directory when set, else the current directory.
 /// Every file a bench emits at runtime goes through this one helper, so
@@ -141,7 +127,8 @@ inline Time run_pingpong(Cluster& cluster, std::size_t len, int iters,
       ep.wait(ep.isend(buf1.data(), len, Addr{0, 0}, 7));
     }
   });
-  cluster.run(monitor);
+  cluster.set_monitor(monitor);
+  cluster.run();
   return (t1 - t0) / (2 * iters);
 }
 
@@ -155,10 +142,10 @@ inline Time pingpong_oneway(const OmxConfig& cfg, std::size_t len, int iters,
                             core::NodeParams np = {},
                             net::NetParams netp = {},
                             obs::Registry* metrics = nullptr) {
-  Cluster cluster(np, netp);
+  Cluster cluster(1, np, netp);
   cluster.add_nodes(2, cfg);
   const Time t = run_pingpong(cluster, len, iters, warmup);
-  if (metrics) collect_cluster_metrics(cluster, *metrics);
+  if (metrics) cluster.collect_metrics(*metrics);
   return t;
 }
 
@@ -222,7 +209,7 @@ inline TracedResult traced_pingpong(const OmxConfig& cfg, std::size_t len,
         json_path.c_str(), r.num_spans, r.avg_overlap_us, prof.num_threads());
   prof.set_slice_capacity(0);
   if (metrics) {
-    collect_cluster_metrics(cluster, *metrics);
+    cluster.collect_metrics(*metrics);
     r.report.to_registry(*metrics);
     eng.attrib().to_registry(*metrics);
   }
@@ -258,7 +245,7 @@ inline Time local_pingpong_oneway(const OmxConfig& cfg, std::size_t len,
     }
   });
   cluster.run();
-  if (metrics) collect_cluster_metrics(cluster, *metrics);
+  if (metrics) cluster.collect_metrics(*metrics);
   return (t1 - t0) / (2 * iters);
 }
 
@@ -319,7 +306,7 @@ inline CpuUsage stream_cpu_usage(const OmxConfig& cfg, std::size_t len,
       static_cast<double>(tl.dma_busy_in_window(1, t0, t1)) / window;
   out.throughput_mibs = sim::mib_per_second(len * static_cast<size_t>(msgs),
                                             t1 - t0);
-  if (metrics) collect_cluster_metrics(cluster, *metrics);
+  if (metrics) cluster.collect_metrics(*metrics);
   return out;
 }
 

@@ -2,11 +2,10 @@
 
 // Fig. 12-style multi-node ring mesh used to measure simulation speed:
 // every node streams a mix of eager, multi-fragment and rendezvous
-// messages to its ring successor.  The same workload drives the
-// sequential Cluster and the multi-LP ParallelCluster, so events/sec
-// and scale-out speedup compare like for like.  Shared by
-// bench_sim_speed (the KPI measurement + metrics JSON) and bench_guard
-// (the single-worker parity guard row).
+// messages to its ring successor.  The same workload drives a one-LP
+// and a multi-LP Cluster, so events/sec and scale-out speedup compare
+// like for like.  Shared by bench_sim_speed (the KPI measurement +
+// metrics JSON) and bench_guard (the single-worker parity guard row).
 
 #include <chrono>
 #include <memory>
@@ -14,7 +13,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/parallel_cluster.hpp"
+#include "core/cluster.hpp"
 
 namespace openmx::bench {
 
@@ -28,11 +27,10 @@ struct SimSpeedPoint {
                         // event by up to one lookahead window)
 };
 
-/// Spawns the ring traffic on a Cluster or ParallelCluster.  Buffers are
-/// owned by the returned holder; keep it alive across run().
-template <typename ClusterT>
-std::shared_ptr<void> spawn_ring_mesh(ClusterT& cluster, int nnodes,
-                                      int iters) {
+/// Spawns the ring traffic on `cluster`.  Buffers are owned by the
+/// returned holder; keep it alive across run().
+inline std::shared_ptr<void> spawn_ring_mesh(Cluster& cluster, int nnodes,
+                                             int iters) {
   struct Bufs {
     mem::Buffer s16k = mem::Buffer(16 * sim::KiB, 1);
     mem::Buffer s256k = mem::Buffer(256 * sim::KiB, 2);
@@ -73,33 +71,17 @@ std::shared_ptr<void> spawn_ring_mesh(ClusterT& cluster, int nnodes,
   return bufs;
 }
 
-/// Sequential single-engine reference.
-inline SimSpeedPoint sim_speed_sequential(int nnodes, int iters) {
-  core::Cluster cluster;
-  cluster.add_nodes(nnodes, cfg_omx());
-  auto hold = spawn_ring_mesh(cluster, nnodes, iters);
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  SimSpeedPoint p;
-  p.events = cluster.engine().events_scheduled();
-  p.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  p.events_per_sec = p.wall_s > 0 ? static_cast<double>(p.events) / p.wall_s
-                                  : 0;
-  p.vtime = cluster.engine().now();
-  return p;
-}
-
-/// Multi-LP run: one LP per node, executed on `workers` OS threads.
-/// When `sched_metrics` is given the per-LP scheduler counters
-/// (lp.<id>.windows/events/barrier_stall_ns, lp.critical.*) are folded
-/// into it after the run; when `lp_trace_path` is set the window log is
-/// enabled and rendered as one Perfetto track per LP.
-inline SimSpeedPoint sim_speed_multi_lp(int nnodes, unsigned workers,
-                                        int iters,
-                                        obs::Registry* sched_metrics = nullptr,
-                                        const std::string& lp_trace_path = {}) {
-  core::ParallelCluster cluster(nnodes);
+/// One ring-mesh run on `num_lps` LPs (1 = the sequential single-engine
+/// reference), executed on `workers` OS threads.  When `sched_metrics`
+/// is given the per-LP scheduler counters (lp.<id>.windows/events/
+/// barrier_stall_ns, lp.critical.*) are folded into it after the run;
+/// when `lp_trace_path` is set the window log is enabled and rendered as
+/// one Perfetto track per LP.
+inline SimSpeedPoint sim_speed(int nnodes, int num_lps, unsigned workers,
+                               int iters,
+                               obs::Registry* sched_metrics = nullptr,
+                               const std::string& lp_trace_path = {}) {
+  core::Cluster cluster(num_lps);
   cluster.add_nodes(nnodes, cfg_omx());
   if (!lp_trace_path.empty()) cluster.scheduler().enable_window_log();
   auto hold = spawn_ring_mesh(cluster, nnodes, iters);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -14,7 +13,6 @@
 #include "sim/event_slab.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/time.hpp"
-#include "sim/timer_wheel.hpp"
 #include "sim/trace.hpp"
 
 namespace openmx::sim {
@@ -45,18 +43,6 @@ using EventFn = InlineFn<48>;
 /// claims, completions keep a location-independent identity — the flow
 /// id — when the fluid fabric is sharded across LPs).
 enum class Band : std::uint8_t { kClaim = 0, kFlow = 1, kNormal = 2 };
-
-/// Engine queue configuration.
-///
-/// The default is the owned 4-ary heap.  `timer_wheel` routes every
-/// event within the wheel horizon through a hierarchical timer wheel
-/// (O(1) insert) with the heap as far-future overflow; dispatch order is
-/// bit-identical between the two structures (asserted by
-/// test_determinism), so the choice is purely a throughput knob.
-struct EngineConfig {
-  bool timer_wheel = false;
-  unsigned wheel_granularity_shift = 6;  // one wheel tick = 64 ns
-};
 
 /// Handle to a scheduled event that may be cancelled before it fires.
 ///
@@ -98,21 +84,14 @@ class EventHandle {
 ///
 /// Hot-path layout (see DESIGN.md "Scheduler architecture"): callbacks
 /// are slab-allocated EventRecords with small-buffer-optimized storage;
-/// the priority structure — a 4-ary heap, optionally fronted by a
-/// hierarchical timer wheel — orders 24-byte {when, seq, slot} keys, so
-/// scheduling and dispatch are allocation-free in steady state and no
-/// callback is ever copied.
+/// the priority structure — an owned 4-ary heap — orders 24-byte
+/// {when, seq, slot} keys, so scheduling and dispatch are allocation-free
+/// in steady state and no callback is ever copied.
 class Engine {
  public:
   Engine() = default;
-  explicit Engine(EngineConfig cfg) : cfg_(cfg) {
-    if (cfg.timer_wheel)
-      wheel_ = std::make_unique<TimerWheel>(cfg.wheel_granularity_shift);
-  }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  [[nodiscard]] const EngineConfig& config() const { return cfg_; }
 
   /// Current virtual time.
   [[nodiscard]] Time now() const { return now_; }
@@ -186,8 +165,8 @@ class Engine {
     // "engine.schedule" time is (nearly) the whole engine.run body, which
     // is what makes the >=90 % wall-coverage KPI hold.
     OMX_WALL_ZONE("engine.dispatch");
-    EventKey k;
-    while (pop_next(k)) {
+    while (!heap_.empty()) {
+      const EventKey k = heap_.pop_min();
       EventRecord* r = k.rec;
       if (r->cancelled) {  // reap lazily
         slab_.release(r);
@@ -224,7 +203,7 @@ class Engine {
   /// Total number of events ever scheduled (the FIFO sequence counter).
   /// Two runs of the same workload must agree on this exactly — used to
   /// assert that telemetry layers add no events to the simulation, and
-  /// summed in LP-id order by ParallelCluster for cross-worker-count
+  /// summed in LP-id order by a partitioned Cluster for cross-worker-count
   /// determinism checks.
   [[nodiscard]] std::uint64_t events_scheduled() const { return next_seq_; }
 
@@ -304,51 +283,22 @@ class Engine {
     rec->fn.emplace(std::forward<F>(fn));
     const std::uint64_t seq =
         (static_cast<std::uint64_t>(band) << kBandShift) | next_seq_++;
-    const EventKey k{when, seq, rec};
-    if (!wheel_ || !wheel_->insert(k, now_)) heap_.push(k);
+    heap_.push(EventKey{when, seq, rec});
     ++live_;
     return rec;
-  }
-
-  /// Global minimum across wheel and overflow heap, by (when, seq).
-  [[nodiscard]] const EventKey* peek_key() {
-    const EventKey* best = heap_.empty() ? nullptr : &heap_.min();
-    if (wheel_) {
-      const EventKey* w = wheel_->peek_min(now_);
-      if (w && (!best || w->before(*best))) best = w;
-    }
-    return best;
-  }
-
-  bool pop_next(EventKey& out) {
-    if (wheel_) {
-      const EventKey* w = wheel_->peek_min(now_);
-      if (w && (heap_.empty() || w->before(heap_.min()))) {
-        out = wheel_->pop_min(now_);
-        return true;
-      }
-    }
-    if (heap_.empty()) return false;
-    out = heap_.pop_min();
-    return true;
   }
 
   /// Pops cancelled events off the head of the queue so that peeks see
   /// the true next live event.
   void reap_cancelled() {
-    for (const EventKey* k = peek_key(); k != nullptr; k = peek_key()) {
-      if (!k->rec->cancelled) return;
-      EventKey dead;
-      pop_next(dead);
-      slab_.release(dead.rec);
-    }
+    while (!heap_.empty() && heap_.min().rec->cancelled)
+      slab_.release(heap_.pop_min().rec);
   }
 
   bool peek_next_when(Time& when) {
     reap_cancelled();
-    const EventKey* k = peek_key();
-    if (!k) return false;
-    when = k->when;
+    if (heap_.empty()) return false;
+    when = heap_.min().when;
     return true;
   }
 
@@ -363,10 +313,8 @@ class Engine {
     return rec->gen == gen && !rec->cancelled;
   }
 
-  EngineConfig cfg_;
   EventSlab slab_;
   EventHeap heap_;
-  std::unique_ptr<TimerWheel> wheel_;
   Trace trace_;
   obs::SpanTable spans_;
   obs::AttribTable attrib_;

@@ -85,8 +85,8 @@ class EventSlab {
 /// Queue entry (24 bytes): the total dispatch order is lexicographic
 /// (when, seq), seq being the global schedule sequence — FIFO per
 /// timestamp, the determinism invariant every experiment relies on.
-/// The callback stays in the slab; only this key moves during heap or
-/// wheel rebalancing.
+/// The callback stays in the slab; only this key moves during heap
+/// rebalancing.
 struct EventKey {
   Time when;
   std::uint64_t seq;

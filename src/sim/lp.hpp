@@ -54,7 +54,7 @@ struct LpMessage {
 /// needed anywhere.
 class Lp {
  public:
-  explicit Lp(int id, EngineConfig cfg = {}) : id_(id), engine_(cfg) {}
+  explicit Lp(int id) : id_(id) {}
 
   Lp(const Lp&) = delete;
   Lp& operator=(const Lp&) = delete;

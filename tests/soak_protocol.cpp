@@ -174,6 +174,7 @@ RunResult run_one(std::uint64_t seed) {
     const double tx = static_cast<double>(r.get("net.tx_frames"));
     return tx > 0 ? static_cast<double>(r.get("net.fault_drops")) / tx : 0.0;
   });
+  cluster.set_monitor(&monitor);
 
   fault::Plan plan(rng.next_u64());
   build_plan(plan, rng);
@@ -249,7 +250,7 @@ RunResult run_one(std::uint64_t seed) {
   };
 
   try {
-    cluster.run(&monitor);
+    cluster.run();
   } catch (const std::exception& e) {
     fail(std::string("run threw: ") + e.what());
     dump_postmortem();

@@ -1,15 +1,24 @@
 // Tests for the Node/Cluster composition layer: cache-coherence helpers,
-// deadlock detection, process exception propagation, and node wiring.
+// deadlock detection, process exception propagation, and node wiring —
+// the failure paths on one LP (run inline) and on two (run by the
+// threaded LP scheduler).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "core/endpoint.hpp"
+#include "mem/aligned_buffer.hpp"
+#include "obs/monitor.hpp"
 
 namespace sim = openmx::sim;
 namespace core = openmx::core;
 namespace cpu = openmx::cpu;
+namespace mem = openmx::mem;
+namespace obs = openmx::obs;
 
 TEST(Node, CacheForCoreFollowsSubchips) {
   core::Cluster cluster;
@@ -45,24 +54,29 @@ TEST(Node, FlushCachesDropsEverything) {
   EXPECT_EQ(n.cache_for_core(0).resident_pages(), 0u);
 }
 
-TEST(Cluster, NodesGetSequentialIds) {
-  core::Cluster cluster;
+// The parameter is the LP count; a two-LP cluster runs one worker per LP.
+class ClusterLps : public ::testing::TestWithParam<int> {};
+
+TEST_P(ClusterLps, NodesGetSequentialIds) {
+  core::Cluster cluster(GetParam());
   cluster.add_nodes(3, {});
   EXPECT_EQ(cluster.num_nodes(), 3u);
   for (int i = 0; i < 3; ++i)
     EXPECT_EQ(cluster.node(static_cast<std::size_t>(i)).id(), i);
 }
 
-TEST(Cluster, DeadlockedProcessIsReported) {
-  core::Cluster cluster;
-  cluster.add_nodes(1, {});
-  cluster.spawn(cluster.node(0), 0, "waits-forever", [&](core::Process& p) {
+TEST_P(ClusterLps, DeadlockedProcessIsReported) {
+  core::Cluster cluster(GetParam());
+  cluster.add_nodes(GetParam(), {});
+  // On the last node, so with two LPs the blocked process is on LP 1.
+  core::Node& node = cluster.node(cluster.num_nodes() - 1);
+  cluster.spawn(node, 0, "waits-forever", [&](core::Process& p) {
     core::Endpoint ep(p, 0);
     std::uint8_t buf[16];
     ep.wait(ep.irecv(buf, sizeof buf, 1));  // nothing ever arrives
   });
   try {
-    cluster.run();
+    cluster.run(static_cast<unsigned>(GetParam()));
     FAIL() << "expected deadlock report";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("waits-forever"),
@@ -70,13 +84,63 @@ TEST(Cluster, DeadlockedProcessIsReported) {
   }
 }
 
-TEST(Cluster, ProcessExceptionPropagates) {
-  core::Cluster cluster;
-  cluster.add_nodes(1, {});
-  cluster.spawn(cluster.node(0), 0, "thrower", [](core::Process&) {
-    throw std::logic_error("app bug");
-  });
-  EXPECT_THROW(cluster.run(), std::logic_error);
+TEST_P(ClusterLps, ProcessExceptionPropagates) {
+  core::Cluster cluster(GetParam());
+  cluster.add_nodes(GetParam(), {});
+  cluster.spawn(cluster.node(cluster.num_nodes() - 1), 0, "thrower",
+                [](core::Process&) { throw std::logic_error("app bug"); });
+  EXPECT_THROW(cluster.run(static_cast<unsigned>(GetParam())),
+               std::logic_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lps, ClusterLps, ::testing::Values(1, 2));
+
+TEST(Cluster, PartitionedMonitorStreamIsWorkerCountInvariant) {
+  // A monitor set on a partitioned cluster is polled by the scheduler's
+  // coordinator at every window plan, between barriers: deterministic
+  // poll points over deterministic counters, so the sampled stream must
+  // not depend on how many workers ran the windows.
+  auto dump = [](unsigned workers) {
+    constexpr int kNodes = 4;
+    constexpr std::size_t kLen = 64 * sim::KiB;
+    core::Cluster cluster(kNodes);
+    cluster.add_nodes(kNodes, {});
+    obs::Monitor monitor(cluster.shard(0).counters(),
+                         10 * sim::kMicrosecond);
+    monitor.watch("net.tx_frames");
+    cluster.set_monitor(&monitor);
+    std::vector<mem::Buffer> sb, rb;
+    for (int i = 0; i < kNodes; ++i) {
+      sb.emplace_back(kLen, static_cast<std::uint8_t>(i + 1));
+      rb.emplace_back(kLen, 0);
+    }
+    for (int i = 0; i < kNodes; ++i) {
+      const int next = (i + 1) % kNodes;
+      cluster.spawn(cluster.node(static_cast<std::size_t>(i)), 0,
+                    "ring" + std::to_string(i), [&, i, next](core::Process& p) {
+                      const auto me = static_cast<std::size_t>(i);
+                      core::Endpoint ep(p, static_cast<std::uint16_t>(i));
+                      core::Request* r = ep.irecv(rb[me].data(), kLen, 3);
+                      ep.wait(ep.isend(
+                          sb[me].data(), kLen,
+                          core::Addr{next, static_cast<std::uint16_t>(next)},
+                          3));
+                      ep.wait(r);
+                    });
+    }
+    cluster.run(workers);
+    EXPECT_GT(monitor.samples_taken(), 0u) << workers << " workers";
+    char* buf = nullptr;
+    std::size_t len = 0;
+    std::FILE* f = open_memstream(&buf, &len);
+    monitor.dump_json(f);
+    std::fclose(f);
+    std::string out(buf, len);
+    std::free(buf);
+    return out;
+  };
+  const std::string ref = dump(1);
+  EXPECT_EQ(dump(4), ref);
 }
 
 TEST(Cluster, ProcessesComputeConcurrentlyOnDifferentCores) {

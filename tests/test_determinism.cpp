@@ -3,10 +3,10 @@
 // The engine's contract is a total dispatch order, lexicographic in
 // (when, schedule-sequence) — FIFO per timestamp.  The seed engine got
 // this from std::priority_queue over per-event sequence numbers; the
-// slab engine gets it from 24-byte keys in an owned 4-ary heap or a
-// hierarchical timer wheel.  These tests pin the contract down against
-// a straightforward reference implementation and randomized workloads,
-// and assert that SweepRunner fan-out cannot change experiment results.
+// slab engine gets it from 24-byte keys in an owned 4-ary heap.  These
+// tests pin the contract down against a straightforward reference
+// implementation and randomized workloads, and assert that SweepRunner
+// fan-out cannot change experiment results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/parallel_cluster.hpp"
+#include "core/cluster.hpp"
 #include "fault/fault.hpp"
 #include "mem/aligned_buffer.hpp"
 #include "sim/engine.hpp"
@@ -75,9 +75,8 @@ std::vector<int> reference_order(const std::vector<WorkloadOp>& ops) {
   return order;
 }
 
-std::vector<int> engine_order(const sim::EngineConfig& cfg,
-                              const std::vector<WorkloadOp>& ops) {
-  sim::Engine e(cfg);
+std::vector<int> engine_order(const std::vector<WorkloadOp>& ops) {
+  sim::Engine e;
   std::vector<int> order;
   // Schedule in op order so engine sequence numbers match the reference
   // seq assignment one-to-one.
@@ -94,30 +93,15 @@ std::vector<int> engine_order(const sim::EngineConfig& cfg,
 TEST(Determinism, HeapMatchesPriorityQueueReference) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto ops = random_workload(seed, 500);
-    EXPECT_EQ(engine_order(sim::EngineConfig{}, ops), reference_order(ops))
-        << "seed " << seed;
-  }
-}
-
-TEST(Determinism, WheelMatchesPriorityQueueReference) {
-  sim::EngineConfig wheel;
-  wheel.timer_wheel = true;
-  wheel.wheel_granularity_shift = 0;
-  sim::EngineConfig coarse = wheel;
-  coarse.wheel_granularity_shift = 6;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto ops = random_workload(seed, 500);
-    const auto ref = reference_order(ops);
-    EXPECT_EQ(engine_order(wheel, ops), ref) << "seed " << seed;
-    EXPECT_EQ(engine_order(coarse, ops), ref) << "seed " << seed;
+    EXPECT_EQ(engine_order(ops), reference_order(ops)) << "seed " << seed;
   }
 }
 
 TEST(Determinism, NestedSchedulingMatchesAcrossQueues) {
   // Events scheduled from inside callbacks (the dominant pattern in the
-  // driver) must interleave identically under heap and wheel.
-  auto run = [](const sim::EngineConfig& cfg) {
-    sim::Engine e(cfg);
+  // driver) must interleave identically on every run.
+  auto run = [] {
+    sim::Engine e;
     std::vector<std::pair<sim::Time, int>> trace;
     sim::Rng rng(99);
     for (int i = 0; i < 32; ++i) {
@@ -134,16 +118,13 @@ TEST(Determinism, NestedSchedulingMatchesAcrossQueues) {
     e.run();
     return trace;
   };
-  const auto heap_trace = run(sim::EngineConfig{});
-  sim::EngineConfig wheel;
-  wheel.timer_wheel = true;
-  EXPECT_EQ(run(wheel), heap_trace);
-  EXPECT_EQ(run(sim::EngineConfig{}), heap_trace);  // re-run: identical
+  const auto first = run();
+  EXPECT_EQ(run(), first);  // re-run: identical
 }
 
 TEST(Determinism, SimulatedPingPongIdenticalAcrossQueuesAndReruns) {
   // Whole-simulation check: one cluster ping-pong gives bit-identical
-  // virtual times under the heap, the wheel, and on a re-run.
+  // virtual times on a re-run.
   const sim::Time heap1 =
       openmx::bench::pingpong_oneway(openmx::bench::cfg_omx(), 4096, 3, 1);
   const sim::Time heap2 =
@@ -207,8 +188,7 @@ std::string registry_json(const obs::Registry& reg) {
 // eager, and rendezvous-sized messages to its successor; the small
 // receive is posted late (after compute) so the unexpected queue and
 // both protocol paths are exercised on every link.
-template <typename ClusterT>
-void spawn_mesh_traffic(ClusterT& cluster, int nnodes, int iters,
+void spawn_mesh_traffic(core::Cluster& cluster, int nnodes, int iters,
                         std::vector<sim::Time>& finish) {
   struct NodeBufs {
     // Parenthesized construction: Buffer is a std::vector, so braces
@@ -259,23 +239,11 @@ void spawn_mesh_traffic(ClusterT& cluster, int nnodes, int iters,
   }
 }
 
-MeshDigest sequential_mesh_digest(int nnodes, int iters) {
+// num_lps == 1 is the sequential reference: one engine, run inline.
+MeshDigest mesh_digest(int nnodes, int num_lps, unsigned workers,
+                       int iters) {
   MeshDigest d;
-  core::Cluster cluster;
-  cluster.add_nodes(nnodes, openmx::bench::cfg_omx());
-  spawn_mesh_traffic(cluster, nnodes, iters, d.finish);
-  cluster.run();
-  d.events = cluster.engine().events_scheduled();
-  obs::Registry reg;
-  openmx::bench::collect_cluster_metrics(cluster, reg);
-  d.metrics = registry_json(reg);
-  return d;
-}
-
-MeshDigest parallel_mesh_digest(int nnodes, int num_lps, unsigned workers,
-                                int iters) {
-  MeshDigest d;
-  core::ParallelCluster cluster(num_lps);
+  core::Cluster cluster(num_lps);
   cluster.add_nodes(nnodes, openmx::bench::cfg_omx());
   spawn_mesh_traffic(cluster, nnodes, iters, d.finish);
   cluster.run(workers);
@@ -293,12 +261,11 @@ TEST(Determinism, MultiLpMatchesSequentialAtEveryWorkerCount) {
   // paths: the partitioned digests must all equal the single-engine
   // reference bit for bit.
   const int kNodes = 8, kIters = 2;
-  const MeshDigest ref = sequential_mesh_digest(kNodes, kIters);
+  const MeshDigest ref = mesh_digest(kNodes, 1, 1, kIters);
   ASSERT_EQ(ref.finish.size(), 8u);
   for (sim::Time t : ref.finish) EXPECT_GT(t, 0);
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
-    const MeshDigest par = parallel_mesh_digest(kNodes, kNodes, workers,
-                                                kIters);
+    const MeshDigest par = mesh_digest(kNodes, kNodes, workers, kIters);
     EXPECT_EQ(par.finish, ref.finish) << workers << " workers";
     EXPECT_EQ(par.events, ref.events) << workers << " workers";
     EXPECT_EQ(par.metrics, ref.metrics) << workers << " workers";
@@ -314,7 +281,7 @@ TEST(Determinism, SchedulerMetricsIdenticalAcrossWorkersAndReruns) {
   // separate wall_metrics() registry precisely so this holds.
   const int kNodes = 8, kIters = 2;
   auto scheduler_digest = [&](unsigned workers) {
-    core::ParallelCluster cluster(kNodes);
+    core::Cluster cluster(kNodes);
     cluster.add_nodes(kNodes, openmx::bench::cfg_omx());
     std::vector<sim::Time> finish;
     spawn_mesh_traffic(cluster, kNodes, kIters, finish);
@@ -337,9 +304,9 @@ TEST(Determinism, SchedulerMetricsIdenticalAcrossWorkersAndReruns) {
 TEST(Determinism, MultiLpFewerLpsThanNodesStillMatchesSequential) {
   // Round-robin placement with 2 nodes per LP: partition shape must not
   // change results either.
-  const MeshDigest ref = sequential_mesh_digest(4, 1);
+  const MeshDigest ref = mesh_digest(4, 1, 1, 1);
   for (unsigned workers : {1u, 2u}) {
-    const MeshDigest par = parallel_mesh_digest(4, 2, workers, 1);
+    const MeshDigest par = mesh_digest(4, 2, workers, 1);
     EXPECT_EQ(par.finish, ref.finish) << workers << " workers";
     EXPECT_EQ(par.events, ref.events) << workers << " workers";
     EXPECT_EQ(par.metrics, ref.metrics) << workers << " workers";
@@ -354,7 +321,7 @@ namespace {
 // be identical at every worker count.
 MeshDigest faulted_mesh_digest(int nnodes, unsigned workers, int iters) {
   MeshDigest d;
-  core::ParallelCluster cluster(nnodes);
+  core::Cluster cluster(nnodes);
   cluster.add_nodes(nnodes, openmx::bench::cfg_omx());
   std::vector<std::unique_ptr<fault::Plan>> plans;
   for (int i = 0; i < nnodes; ++i) {

@@ -312,7 +312,7 @@ TEST(MediumOverlap, SurvivesLoss) {
   core::OmxConfig cfg;
   cfg.ioat_medium_overlap = true;
   cfg.retrans_timeout = 100 * sim::kMicrosecond;
-  core::Cluster cluster({}, [] {
+  core::Cluster cluster(1, {}, [] {
     openmx::net::NetParams p;
     p.loss_prob = 0.05;
     p.loss_seed = 77;

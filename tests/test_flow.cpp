@@ -10,8 +10,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "core/endpoint.hpp"
-#include "core/hybrid_cluster.hpp"
 #include "cpu/machine.hpp"
 #include "mem/aligned_buffer.hpp"
 #include "mem/memcpy_model.hpp"
@@ -299,21 +299,29 @@ TEST(HybridNetwork, TransferRequiresFlowFidelitySource) {
   fx.engine.run();
 }
 
-TEST(HybridCluster, ForegroundPingpongRunsOverBackgroundTraffic) {
+TEST(HybridNetwork, ForegroundPingpongRunsOverBackgroundTraffic) {
   // Full-stack smoke: two Open-MX nodes ping-pong while 64 background
   // endpoints keep fluid flows running.  The run must terminate, count
   // background completions, and the foreground must still complete.
-  core::HybridCluster hc;
-  core::OmxConfig cfg;
-  core::Node& n0 = hc.add_node(cfg);
-  core::Node& n1 = hc.add_node(cfg);
-  (void)n1;
-  core::BackgroundTraffic bg;
-  bg.bytes = 256 * sim::KiB;
-  bg.restarts_per_pair = 3;
-  hc.add_background(64, bg);
+  core::Cluster cluster;
+  cluster.add_nodes(2, core::OmxConfig{});
+  net::FlowNetwork flow(cluster.engine(),
+                        net::FlowParams::match(net::NetParams{}));
+  net::HybridNetwork hybrid(cluster.network(), flow);
+  // Background endpoints 2..65 pair up disjointly (2i <-> 2i+1), and
+  // each pair moves three 256 KiB transfers back to back.
+  hybrid.set_fidelity(2, 64, net::Fidelity::kFlow);
+  int bg_completions = 0;
+  std::function<void(int, int)> start_flow = [&](int src, int left) {
+    hybrid.transfer(src, src + 1, 256 * sim::KiB,
+                    [&, src, left](const net::FlowInfo&) {
+                      ++bg_completions;
+                      if (left > 1) start_flow(src, left - 1);
+                    });
+  };
+  for (int src = 2; src < 66; src += 2) start_flow(src, 3);
   int rounds_done = 0;
-  hc.spawn(n0, 0, "ping", [&](core::Process& p) {
+  cluster.spawn(cluster.node(0), 0, "ping", [&](core::Process& p) {
     core::Endpoint ep(p, 0);
     openmx::mem::Buffer buf(4096, 1);
     for (int i = 0; i < 4; ++i) {
@@ -322,7 +330,7 @@ TEST(HybridCluster, ForegroundPingpongRunsOverBackgroundTraffic) {
       ++rounds_done;
     }
   });
-  hc.spawn(hc.cluster().node(1), 0, "pong", [&](core::Process& p) {
+  cluster.spawn(cluster.node(1), 0, "pong", [&](core::Process& p) {
     core::Endpoint ep(p, 1);
     openmx::mem::Buffer buf(4096, 2);
     for (int i = 0; i < 4; ++i) {
@@ -330,12 +338,12 @@ TEST(HybridCluster, ForegroundPingpongRunsOverBackgroundTraffic) {
       ep.wait(ep.isend(buf.data(), 4096, core::Addr{0, 0}, 7));
     }
   });
-  hc.run();
+  cluster.run();
   EXPECT_EQ(rounds_done, 4);
-  EXPECT_EQ(hc.background_completions(), 32u * 3u);
+  EXPECT_EQ(bg_completions, 32 * 3);
   // Every start (initial + each restart) routes through the hybrid.
-  EXPECT_EQ(hc.hybrid().counters().get("hybrid.bg_flows"), 32u * 3u);
-  EXPECT_GT(hc.hybrid().counters().get("hybrid.fg_frames"), 0u);
+  EXPECT_EQ(hybrid.counters().get("hybrid.bg_flows"), 32u * 3u);
+  EXPECT_GT(hybrid.counters().get("hybrid.fg_frames"), 0u);
 }
 
 // ---- multi-LP sharding -------------------------------------------------

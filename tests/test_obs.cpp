@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/parallel_cluster.hpp"
+#include "core/cluster.hpp"
 #include "obs/flight.hpp"
 #include "obs/monitor.hpp"
 #include "obs/perfetto.hpp"
@@ -550,14 +550,14 @@ TEST(Telemetry, EnablingEverythingDoesNotChangeSimTime) {
 // Counter merge provenance across partitions
 // ---------------------------------------------------------------------
 
-// ParallelCluster::collect_metrics folds per-node and per-shard
+// Cluster::collect_metrics folds per-node and per-shard
 // registries in a fixed global order (node index, then LP index), and
 // events_scheduled() accumulates per-LP counts in LP-id order — so the
 // merged registry dump and the event total must be byte-identical no
 // matter how many workers executed the partitions.
-TEST(Registry, ParallelClusterMergeIsWorkerCountInvariant) {
+TEST(Registry, ClusterMergeIsWorkerCountInvariant) {
   auto run = [](unsigned workers) {
-    core::ParallelCluster cluster(4);
+    core::Cluster cluster(4);
     cluster.add_nodes(4, bench::cfg_omx());
     std::vector<mem::Buffer> sb, rb;
     for (int i = 0; i < 4; ++i) {

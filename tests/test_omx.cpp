@@ -38,7 +38,7 @@ TransferResult run_transfer(std::size_t len, core::OmxConfig cfg,
                             bool local = false,
                             net::NetParams netp = {},
                             bool post_recv_late = false) {
-  core::Cluster cluster({}, netp);
+  core::Cluster cluster(1, {}, netp);
   cluster.add_nodes(2, cfg);
   core::Node& n0 = cluster.node(0);
   core::Node& n1 = local ? cluster.node(0) : cluster.node(1);
@@ -312,7 +312,7 @@ TEST(OmxLoss, RetransmitCountersIncrease) {
   core::OmxConfig cfg;
   cfg.retrans_timeout = 50 * sim::kMicrosecond;
 
-  core::Cluster cluster({}, netp);
+  core::Cluster cluster(1, {}, netp);
   cluster.add_nodes(2, cfg);
   auto src = pattern(64 * 1024);
   std::vector<std::uint8_t> dst(src.size());

@@ -83,7 +83,7 @@ TEST_P(MessageStorm, EveryPayloadDeliveredIntact) {
   cfg.ioat_shm = sc.ioat;
   if (sc.loss > 0) cfg.retrans_timeout = 80 * sim::kMicrosecond;
 
-  core::Cluster cluster({}, np);
+  core::Cluster cluster(1, {}, np);
   cluster.add_nodes(2, cfg);
   core::Node& rx_node = sc.local ? cluster.node(0) : cluster.node(1);
 
@@ -196,7 +196,7 @@ TEST(Determinism, LossyRunsAreReproducibleGivenSeed) {
     np.loss_seed = 99;
     core::OmxConfig cfg;
     cfg.retrans_timeout = 60 * sim::kMicrosecond;
-    core::Cluster cluster({}, np);
+    core::Cluster cluster(1, {}, np);
     cluster.add_nodes(2, cfg);
     std::vector<std::uint8_t> src(200 * 1024, 5), dst(src.size());
     sim::Time end = 0;

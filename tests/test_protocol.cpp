@@ -29,7 +29,7 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed = 1) {
 struct Net2 {
   core::Cluster cluster;
   explicit Net2(core::OmxConfig cfg = {}, net::NetParams np = {})
-      : cluster({}, np) {
+      : cluster(1, {}, np) {
     cluster.add_nodes(2, cfg);
   }
   core::Node& n0() { return cluster.node(0); }

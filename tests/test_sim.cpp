@@ -227,50 +227,6 @@ TEST(Engine, CallbackExceptionReleasesSlot) {
   EXPECT_TRUE(fired);
 }
 
-TEST(EngineWheel, MatchesHeapSemantics) {
-  sim::EngineConfig cfg;
-  cfg.timer_wheel = true;
-  cfg.wheel_granularity_shift = 0;
-  sim::Engine e(cfg);
-  std::vector<int> order;
-  e.schedule(30, [&] { order.push_back(3); });
-  e.schedule(10, [&] { order.push_back(1); });
-  for (int i = 0; i < 8; ++i) e.schedule(10, [&, i] { order.push_back(10 + i); });
-  e.schedule(20, [&] { order.push_back(2); });
-  e.run();
-  ASSERT_EQ(order.size(), 11u);
-  EXPECT_EQ(order[0], 1);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<size_t>(i) + 1], 10 + i);
-  EXPECT_EQ(order[9], 2);
-  EXPECT_EQ(order[10], 3);
-}
-
-TEST(EngineWheel, FarFutureEventsOverflowToHeap) {
-  sim::EngineConfig cfg;
-  cfg.timer_wheel = true;
-  cfg.wheel_granularity_shift = 0;  // horizon = 64^4 ticks
-  sim::Engine e(cfg);
-  std::vector<int> order;
-  const sim::Time beyond = sim::Time{1} << 40;  // past the wheel horizon
-  e.schedule(beyond, [&] { order.push_back(2); });
-  e.schedule(5, [&] { order.push_back(1); });
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(e.now(), beyond);
-}
-
-TEST(EngineWheel, CancellationWorks) {
-  sim::EngineConfig cfg;
-  cfg.timer_wheel = true;
-  sim::Engine e(cfg);
-  bool fired = false;
-  auto h = e.schedule_cancellable(100, [&] { fired = true; });
-  e.schedule(200, [] {});
-  h.cancel();
-  e.run();
-  EXPECT_FALSE(fired);
-}
-
 TEST(InlineFn, SmallCallableIsInline) {
   int hits = 0;
   sim::InlineFn<48> f([&hits] { ++hits; });

@@ -12,9 +12,9 @@ namespace openmx::core {
 
 /// One simulated application process, pinned to a core of one node.
 ///
-/// The body runs on a real thread under the deterministic one-at-a-time
-/// scheduler (sim::SimThread); Endpoint objects created against a Process
-/// charge their library/syscall costs to this core.
+/// The body runs as a fiber (sim::SimThread) on the OS thread that runs
+/// its node's engine, one entity at a time; Endpoint objects created
+/// against a Process charge their library/syscall costs to this core.
 class Process {
  public:
   Process(Node& node, int core, std::string name,

@@ -40,10 +40,9 @@ namespace openmx::obs {
 ///
 /// Wall numbers are inherently nondeterministic, so they live strictly
 /// apart from the deterministic metrics stream: export_metrics() writes
-/// wall.<zone>.{ns,count,excl_ns} into a *caller-chosen* registry (the
-/// same segregation contract as LpScheduler::wall_metrics()) and nothing
-/// in the library ever merges them into a simulation registry, replay
-/// digest, or committed baseline (asserted by test_wallprof).
+/// wall.<zone>.{ns,count,excl_ns} into a *caller-chosen* registry and
+/// nothing in the library ever merges them into a simulation registry,
+/// replay digest, or committed baseline (asserted by test_wallprof).
 ///
 /// Gates:
 ///  - build time: ENABLE_WALLPROF=OFF compiles zones out entirely;
@@ -462,6 +461,8 @@ class WallZone {
 /// The name is interned once (function-local static); when the profiler
 /// is disabled at runtime the whole zone is one relaxed atomic load, and
 /// when compiled out (ENABLE_WALLPROF=OFF) it is nothing at all.
+/// A zone must not contain a sim::SimThread yield: a process is a fiber on
+/// the engine's thread, whose zone stack the engine and other fibers use.
 #define OMX_WALL_ZONE(name)                                            \
   OMX_WALL_ZONE_IMPL(name, OMX_WALL_CAT(omx_wzid_, __COUNTER__),       \
                      OMX_WALL_CAT(omx_wz_, __COUNTER__))

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -226,13 +225,6 @@ class LpScheduler {
   /// the sampled stream is worker-count invariant.
   void set_monitor(obs::Monitor* m) { monitor_ = m; }
 
-  /// Opt-in wall-clock barrier-wait accounting (two steady_clock reads
-  /// per window per worker).  Inherently nondeterministic, so it lives
-  /// in the separate wall_metrics() registry and never contaminates the
-  /// deterministic export_metrics() stream.
-  void enable_wall_stats(bool on = true) { wall_stats_ = on; }
-  [[nodiscard]] obs::Registry& wall_metrics() { return wall_metrics_; }
-
   /// Folds the per-LP telemetry into `out` in LP-id order (deterministic
   /// for any worker count): per-LP counters/histograms under lp.<id>.*,
   /// the critical-LP summary under lp.critical.*, and scheduler-wide
@@ -313,24 +305,12 @@ class LpScheduler {
 
  private:
   void worker_loop(unsigned w) {
-    using Clock = std::chrono::steady_clock;
-    std::uint64_t wait_ns = 0;
     for (;;) {
       if (w == 0) {
         OMX_WALL_ZONE("lp.plan");
         plan_window();
       }
-      if (wall_stats_) {
-        const auto t0 = Clock::now();
-        {
-          OMX_WALL_ZONE("lp.barrier_wait");
-          barrier_.arrive_and_wait();
-        }
-        wait_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - t0)
-                .count());
-      } else {
+      {
         OMX_WALL_ZONE("lp.barrier_wait");
         barrier_.arrive_and_wait();
       }
@@ -343,26 +323,8 @@ class LpScheduler {
         const std::lock_guard<std::mutex> lock(error_mu_);
         if (!error_) error_ = std::current_exception();
       }
-      if (wall_stats_) {
-        const auto t0 = Clock::now();
-        {
-          OMX_WALL_ZONE("lp.barrier_wait");
-          barrier_.arrive_and_wait();
-        }
-        wait_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - t0)
-                .count());
-      } else {
-        OMX_WALL_ZONE("lp.barrier_wait");
-        barrier_.arrive_and_wait();
-      }
-    }
-    if (wall_stats_ && wait_ns) {
-      char name[48];
-      std::snprintf(name, sizeof name, "lp.wall.worker%u.barrier_ns", w);
-      const std::lock_guard<std::mutex> lock(error_mu_);
-      wall_metrics_.counter(name).add(wait_ns);
+      OMX_WALL_ZONE("lp.barrier_wait");
+      barrier_.arrive_and_wait();
     }
   }
 
@@ -494,8 +456,6 @@ class LpScheduler {
   obs::LpWindowLog window_log_;
   obs::LpWindow* cur_win_ = nullptr;
   obs::Monitor* monitor_ = nullptr;
-  bool wall_stats_ = false;
-  obs::Registry wall_metrics_;
 };
 
 }  // namespace openmx::sim

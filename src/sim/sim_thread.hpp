@@ -1,12 +1,10 @@
 #pragma once
 
-#include <condition_variable>
+#include <ucontext.h>
+
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -20,25 +18,33 @@ struct SimAborted : std::runtime_error {
   SimAborted() : std::runtime_error("simulated process aborted") {}
 };
 
-/// A simulated process running on a real std::thread.
+/// A simulated process: a stackful fiber (glibc ucontext) on its own stack.
 ///
 /// Exactly one entity executes at a time: either the engine's event loop or
-/// one SimThread.  Control is handed over with a mutex/condvar handshake, so
-/// process code can be written in the natural blocking style (`wait()` loops
-/// in the MX library, blocking MPI_Recv, ...) while the simulation stays
-/// fully deterministic — all wake-ups are routed through engine events and
+/// one SimThread.  Control is handed over by switching stacks, so process
+/// code can be written in the natural blocking style (`wait()` loops in the
+/// MX library, blocking MPI_Recv, ...) while the simulation stays fully
+/// deterministic — all wake-ups are routed through engine events and
 /// therefore ordered by (time, schedule sequence).
 ///
 /// While a SimThread runs, it owns the simulation: it may call
 /// Engine::schedule and mutate any simulation state without synchronization.
+///
+/// A fiber runs on the OS thread that dispatches its engine's events, and
+/// only on that one: LpScheduler keeps LP i on worker i % workers for a
+/// whole run, and Cluster::run throws unless every process finished (only
+/// teardown aborts a blocked fiber elsewhere).  Thread-local state (the
+/// WallProfiler zone stack, the C++ exception globals) survives a yield —
+/// advance() or pause() — because no OMX_WALL_ZONE scope and no `catch`
+/// block may contain one.
 class SimThread {
  public:
-  /// Creates a simulated process; `body` runs on its own OS thread once
-  /// start() has been called and the engine dispatches its first resume.
+  /// Creates a simulated process; `body` runs on its own stack once start()
+  /// has been called and the engine dispatches its first resume.
   SimThread(Engine& engine, std::string name, std::function<void()> body);
 
-  /// Joins the underlying thread.  If the body never finished (stuck
-  /// blocked), it is aborted by throwing SimAborted into it.
+  /// If the body never finished (stuck blocked), it is aborted by resuming
+  /// it with SimAborted thrown from its yield point, unwinding its stack.
   ~SimThread();
 
   SimThread(const SimThread&) = delete;
@@ -58,7 +64,7 @@ class SimThread {
   /// do not occur; one wake() releases one pause().
   void pause();
 
-  /// --- Calls below are made from engine context (or another thread that
+  /// --- Calls below are made from engine context (or another process that
   ///     currently owns the simulation). ---
 
   /// Wakes a paused thread by scheduling its resume `delay` ns from now.
@@ -76,25 +82,25 @@ class SimThread {
   }
 
  private:
-  enum class Turn { Engine, Thread };
-
-  void resume();           // engine side: run the thread until it yields
-  void yield_to_engine();  // thread side: hand control back
+  static void entry(unsigned hi, unsigned lo);  // the fiber's first frame
+  void resume();           // engine side: run the fiber until it yields
+  void yield_to_engine();  // fiber side: switch back to the resumer
 
   Engine& engine_;
   std::string name_;
   std::function<void()> body_;
 
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::Engine;
+  ucontext_t fiber_{};   // the process's saved context
+  ucontext_t caller_{};  // the resumer's context while the fiber runs
+  char* stack_ = nullptr;  // lowest byte; a PROT_NONE guard lies below
+  const void* caller_stack_ = nullptr;  // the resumer's, for AddressSanitizer
+  std::size_t caller_stack_size_ = 0;
   bool started_ = false;
   bool finished_ = false;
   bool aborting_ = false;
   bool pending_wake_ = false;
   bool paused_ = false;
   std::exception_ptr error_;
-  std::thread thread_;
 };
 
 /// A FIFO of paused SimThreads, used wherever the real stack would use a

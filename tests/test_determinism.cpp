@@ -277,8 +277,8 @@ TEST(Determinism, SchedulerMetricsIdenticalAcrossWorkersAndReruns) {
   // critical-LP attribution, virtual-time barrier stalls) is exported in
   // LP-id order and derives only from the deterministic window protocol —
   // so the merged registry must be byte-identical across repeated runs
-  // AND across 1/2/4/8 workers.  Wall-clock barrier waits live in the
-  // separate wall_metrics() registry precisely so this holds.
+  // AND across 1/2/4/8 workers.  Wall-clock barrier waits are measured
+  // only by the lp.barrier_wait profiler zone precisely so this holds.
   const int kNodes = 8, kIters = 2;
   auto scheduler_digest = [&](unsigned workers) {
     core::Cluster cluster(kNodes);

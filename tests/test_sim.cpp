@@ -366,24 +366,55 @@ TEST(SimThread, WakeBeforePauseIsNotLost) {
 }
 
 TEST(SimThread, StuckThreadIsDetectedAndAborted) {
+  struct Guard {
+    bool* destroyed;
+    ~Guard() { *destroyed = true; }
+  };
   sim::Engine e;
+  bool unwound = false;
   {
-    sim::SimThread t(e, "stuck", [&] { t.pause(); });
+    sim::SimThread t(e, "stuck", [&] {
+      const Guard g{&unwound};
+      t.pause();
+    });
     t.start();
     e.run();
     EXPECT_FALSE(t.finished());
-  }  // destructor aborts it without hanging
-  SUCCEED();
+    EXPECT_FALSE(unwound);
+  }  // destructor aborts it without hanging, unwinding the blocked body
+  EXPECT_TRUE(unwound);
+
+  // Destroyed by stack unwinding: the abort throws and catches SimAborted
+  // on the process's stack while the test's own exception is in flight.
+  unwound = false;
+  try {
+    sim::SimThread t(e, "stuck", [&] {
+      const Guard g{&unwound};
+      t.pause();
+    });
+    t.start();
+    e.run();
+    throw std::runtime_error("teardown");
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(), "teardown");
+  }
+  EXPECT_TRUE(unwound);
 }
 
 TEST(SimThread, ExceptionIsCaptured) {
-  sim::Engine e;
-  sim::SimThread t(e, "thrower", [&] { throw std::runtime_error("boom"); });
-  t.start();
-  e.run();
-  EXPECT_TRUE(t.finished());
-  EXPECT_TRUE(t.failed());
-  EXPECT_THROW(t.rethrow_if_failed(), std::runtime_error);
+  for (const bool after_advance : {false, true}) {
+    sim::Engine e;
+    sim::SimThread t(e, "thrower", [&] {
+      if (after_advance) t.advance(10);
+      throw std::runtime_error("boom");
+    });
+    t.start();
+    e.run();
+    EXPECT_TRUE(t.finished());
+    EXPECT_TRUE(t.failed());
+    EXPECT_THROW(t.rethrow_if_failed(), std::runtime_error);
+    EXPECT_EQ(e.now(), after_advance ? 10 : 0);
+  }
 }
 
 TEST(SimThread, TwoThreadsInterleaveDeterministically) {

@@ -201,6 +201,22 @@ TEST_F(WallProfTest, OffAddsNoEventsAndOnDoesNotChangeTiming) {
   EXPECT_GT(prof().totals("engine.run").count, 0u);
 }
 
+TEST_F(WallProfTest, SimulatedProcessesRegisterNoThreadTables) {
+  // Processes run on the thread that runs the engine, so back-to-back
+  // runs add no thread tables after the first one registered the
+  // engine's thread.
+  std::size_t after_first = 0;
+  for (int run = 0; run < 3; ++run) {
+    bench::Cluster cluster;
+    cluster.add_nodes(2, bench::cfg_omx_ioat());
+    EXPECT_GT(bench::run_pingpong(cluster, 64 * sim::KiB, 2, /*warmup=*/1),
+              0);
+    if (run == 0) after_first = prof().num_threads();
+  }
+  EXPECT_GT(prof().totals("engine.schedule").count, 0u);
+  EXPECT_EQ(prof().num_threads(), after_first);
+}
+
 TEST_F(WallProfTest, WallMetricsNeverLeakIntoDeterministicRegistry) {
   // The deterministic metrics stream (cluster counters, the replay
   // digest's input) must stay byte-identical whether or not the profiler

@@ -1,16 +1,16 @@
 // Telemetry overhead check: runs the same ping-pong workload with all
-// telemetry off, with every opt-in obs subsystem on (typed trace, spans,
-// utilization timeline; counters are always on), with only the always-on
-// flight recorder attached, and with only the live run monitor polling —
-// and reports the wall-clock cost of each.  The ISSUE contracts are that
-// telemetry-off throughput stays within 2 % of the pre-telemetry
-// baseline, and that the always-on recorder ring costs < 3 % on the
-// Fig. 8 ping-pong path (pinned by the obs.recorder_overhead guard row).
+// telemetry off, with every opt-in obs subsystem on (full trace ring,
+// spans with their wait-state stamps, utilization timeline; counters are
+// always on), with only the 256-event postmortem trace ring, and with
+// only the live run monitor polling — and reports the wall-clock cost of
+// each.  The contracts are that telemetry-off throughput stays within
+// 2 % of the pre-telemetry baseline, and that the postmortem ring costs
+// < 3 % on the Fig. 8 ping-pong path (pinned by the obs.recorder_overhead
+// guard row).
 #include <chrono>
 #include <cstdio>
 
 #include "common.hpp"
-#include "obs/flight.hpp"
 
 using namespace openmx;
 using namespace openmx::bench;
@@ -36,7 +36,6 @@ Sample run(Mode mode, int reps) {
   auto run_once = [&](std::size_t len, int n) {
     Cluster cluster;
     cluster.add_nodes(2, cfg_omx_ioat());
-    obs::FlightRecorder fr(1, 256);
     obs::Monitor monitor(cluster.network().counters(),
                          100 * sim::kMicrosecond);
     obs::Monitor* poll = nullptr;
@@ -49,7 +48,7 @@ Sample run(Mode mode, int reps) {
         cluster.engine().timeline().enable();
         break;
       case Mode::kRecorder:
-        cluster.engine().trace().attach_flight(&fr, 0);
+        cluster.engine().trace().enable(256);
         break;
       case Mode::kMonitor:
         monitor.watch("net.tx_frames");

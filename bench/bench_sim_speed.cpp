@@ -214,7 +214,7 @@ void run_scaleout_kpi() {
   openmx::obs::Registry reg;
   openmx::obs::Registry wall;
   openmx::obs::WallProfiler& prof = openmx::obs::WallProfiler::instance();
-  const bool prof_on = prof.compiled_in() && prof.enabled();
+  const bool prof_on = prof.enabled();
 
   prof.reset();
   const bench::SimSpeedPoint seq = bench::sim_speed(kNodes, 1, 1, kIters);

@@ -165,8 +165,8 @@ struct TracedResult {
   obs::AttribReport report;   // per-size-class latency attribution
 };
 
-/// Ping-pong with full telemetry: spans + utilization timeline +
-/// wait-state attribution enabled, Perfetto JSON written to `json_path`,
+/// Ping-pong with full telemetry: spans with their wait-state stamps and
+/// the utilization timeline enabled, Perfetto JSON written to `json_path`,
 /// per-message waterfalls and the blame breakdown printed.  This is how
 /// Figure 8 benches visualize the I/OAT overlap window.
 inline TracedResult traced_pingpong(const OmxConfig& cfg, std::size_t len,
@@ -178,7 +178,6 @@ inline TracedResult traced_pingpong(const OmxConfig& cfg, std::size_t len,
   auto& eng = cluster.engine();
   eng.timeline().enable();
   eng.spans().enable();
-  eng.attrib().enable();
   // Dual-clock trace: capture host-time profiler slices alongside the
   // virtual-time timeline (rendered as extra "host-thread*" processes).
   obs::WallProfiler& prof = obs::WallProfiler::instance();
@@ -193,7 +192,7 @@ inline TracedResult traced_pingpong(const OmxConfig& cfg, std::size_t len,
     total_overlap += sim::to_micros(s.overlap_ns());
   if (r.num_spans)
     r.avg_overlap_us = total_overlap / static_cast<double>(r.num_spans);
-  r.report.build(eng.spans(), eng.attrib());
+  r.report.build(eng.spans());
 
   if (print_waterfall) {
     obs::dump_waterfall(stdout, eng.spans());
@@ -201,8 +200,7 @@ inline TracedResult traced_pingpong(const OmxConfig& cfg, std::size_t len,
     r.report.print(stdout);
   }
   if (obs::write_dual_clock_trace_file(json_path, eng.timeline(), eng.spans(),
-                                       static_cast<int>(cluster.num_nodes()),
-                                       &eng.attrib()))
+                                       static_cast<int>(cluster.num_nodes())))
     std::printf(
         "dual-clock perfetto trace written to %s (%zu spans, avg dma-overlap "
         "%.3f us, %zu host threads)\n",
@@ -211,7 +209,7 @@ inline TracedResult traced_pingpong(const OmxConfig& cfg, std::size_t len,
   if (metrics) {
     cluster.collect_metrics(*metrics);
     r.report.to_registry(*metrics);
-    eng.attrib().to_registry(*metrics);
+    eng.spans().to_registry(*metrics);
   }
   return r;
 }

@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
   cluster.add_nodes(2, cfg);
   auto& eng = cluster.engine();
   eng.spans().enable();
-  eng.attrib().enable();
   if (!json_path.empty()) eng.timeline().enable();
 
   const sim::Time oneway = bench::run_pingpong(cluster, len, iters,
@@ -94,7 +93,7 @@ int main(int argc, char** argv) {
   std::printf("  %s\n", "critical");
   std::size_t checked = 0, bad = 0, shown = 0;
   for (const auto& [key, s] : eng.spans().all()) {
-    const obs::BlameVec blame = obs::attribute_blame(s, eng.attrib().find(key));
+    const obs::BlameVec blame = obs::attribute_blame(s);
     ++checked;
     if (obs::blame_sum(blame) != s.total_ns()) ++bad;
     if (shown++ < 8) {
@@ -111,13 +110,12 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== per-size-class attribution ===\n");
   obs::AttribReport report;
-  report.build(eng.spans(), eng.attrib());
+  report.build(eng.spans());
   report.print(stdout);
 
   if (!json_path.empty()) {
     if (obs::write_chrome_trace_file(json_path, eng.timeline(), eng.spans(),
-                                     static_cast<int>(cluster.num_nodes()),
-                                     &eng.attrib()))
+                                     static_cast<int>(cluster.num_nodes())))
       std::printf("\nperfetto trace with blame slices written to %s\n",
                   json_path.c_str());
     else {

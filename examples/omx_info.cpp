@@ -76,8 +76,6 @@ int main() {
 
   const obs::WallProfiler& prof = obs::WallProfiler::instance();
   std::printf("\nhost wall-clock profiler (obs::WallProfiler)\n");
-  std::printf("  compiled in:     %s (ENABLE_WALLPROF)\n",
-              obs::WallProfiler::compiled_in() ? "yes" : "no");
   std::printf("  runtime:         %s (OMX_WALLPROF=0 disables)\n",
               prof.enabled() ? "enabled" : "disabled");
   std::printf("  clock source:    %s (%.4f ns/tick)\n", prof.clock_name(),

@@ -1,12 +1,12 @@
 // Postmortem viewer: pretty-print the blame and tail-of-trace from a
-// flight-recorder dump (postmortem_<seed>.json, written when a soak
+// trace-ring dump (postmortem_<seed>.json, written when a soak
 // invariant trips, a fault plan exhausts a message's retries, or any
 // Engine::on_panic hook fires).
 //
 //   omx_postmortem <dump.json>   parse and pretty-print an existing dump
 //   omx_postmortem               self-contained demo: force a pull to
 //                                fail under a kill-all-replies fault
-//                                plan, dump the recorder, re-parse the
+//                                plan, dump the trace ring, re-parse the
 //                                file and map the tail to the faulting
 //                                message (exit != 0 if the mapping or
 //                                the dump is missing — the tier-1 smoke)
@@ -28,7 +28,6 @@
 #include "core/endpoint.hpp"
 #include "fault/fault.hpp"
 #include "mem/aligned_buffer.hpp"
-#include "obs/flight.hpp"
 
 using namespace openmx;
 
@@ -153,15 +152,15 @@ int run_demo() {
   core::Cluster cluster;
   cluster.add_nodes(2, cfg);
 
-  obs::FlightRecorder fr(1, 256);
-  cluster.engine().trace().attach_flight(&fr, 0);
+  sim::Trace& trace = cluster.engine().trace();
+  trace.enable(256);  // postmortem-sized ring
 
   const std::string dump_path =
       bench::out_path("postmortem_" + std::to_string(kSeed) + ".json");
   std::string reason_seen;
   cluster.engine().set_on_panic([&](const char* why) {
     reason_seen = why;
-    fr.dump_json_file(dump_path, why, kSeed);
+    trace.dump_json_file(dump_path, why, kSeed);
   });
 
   // Kill every pull reply: the receiver's pull can never progress, so

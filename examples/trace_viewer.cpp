@@ -31,12 +31,12 @@ int main(int argc, char** argv) {
   cluster.add_nodes(2, config);
 
   // All three telemetry layers on: typed event trace, message-lifecycle
-  // spans, and the per-core/per-channel utilization timeline.
+  // spans (with their wait-state stamps), and the per-core/per-channel
+  // utilization timeline.
   auto& engine = cluster.engine();
   engine.trace().enable();
   engine.spans().enable();
   engine.timeline().enable();
-  engine.attrib().enable();
 
   const std::size_t len = 512 * sim::KiB;
   const int iters = 3;
@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
   // ...and the Perfetto file (with per-message blame slices).
   if (obs::write_chrome_trace_file(out_path, engine.timeline(),
                                    engine.spans(),
-                                   static_cast<int>(cluster.num_nodes()),
-                                   &engine.attrib()))
+                                   static_cast<int>(cluster.num_nodes())))
     std::printf("\nwrote %s (%zu timeline slices, %zu spans) — load "
                 "it at https://ui.perfetto.dev\n",
                 out_path.c_str(), engine.timeline().size(),

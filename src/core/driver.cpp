@@ -128,9 +128,8 @@ sim::Time Driver::pin_cost_sync(const SegList& segs) {
 }
 
 sim::Time Driver::pin_cost_sync(const void* buf, std::size_t len) {
-  if (config_.native_mx || len == 0) {
-    // MX also pins, with comparable cost; keep the model identical.
-  }
+  // Native MX also pins, at a comparable cost, so both stacks share this
+  // model.
   if (regcache_.lookup_or_insert(buf, len)) return 0;
   const sim::Time full = node_.params().pin_model.cost(len);
   if (!config_.overlap_registration || len <= 64 * sim::KiB) return full;
@@ -231,7 +230,7 @@ void Driver::arm_eager_timer(std::uint32_t seq) {
           // stack's timeout handler eventually must).  This is a fatal
           // path for the message, so fire the postmortem hook — the
           // reason names the message so omx_postmortem can match it to
-          // the flight-recorder tail.
+          // the trace ring's tail.
           char why[96];
           std::snprintf(why, sizeof why,
                         "eager send retries exhausted seq=%u len=%u node=%d",
@@ -482,9 +481,6 @@ void Driver::cmd_pull(DriverEndpoint& ep, const SegList& segs, Addr src,
   auto& spans = node_.engine().spans();
   if (spans.enabled())
     spans.begin(obs::span_key(node_.id(), handle), node_.id(), len);
-  auto& attrib = node_.engine().attrib();
-  if (attrib.enabled())
-    attrib.begin(obs::span_key(node_.id(), handle), node_.id(), len);
 
   const int outstanding =
       std::min<int>(config_.pull_blocks_outstanding,
@@ -562,9 +558,9 @@ void Driver::arm_block_timer(PullHandle& h) {
           return;
         }
         if (++p.retries > config_.max_retries) {
-          // Fatal for the message: dump the flight recorder before the
-          // abort bookkeeping so the postmortem tail still shows the
-          // stalled pull's last activity.
+          // Fatal for the message: fire the postmortem hook before the
+          // abort bookkeeping so the dumped tail still shows the stalled
+          // pull's last activity.
           char why[96];
           std::snprintf(why, sizeof why,
                         "pull retries exhausted handle=%u len=%zu node=%d",
@@ -672,21 +668,18 @@ void Driver::rx(net::Skbuff skb) {
   auto shared = std::make_shared<net::Skbuff>(std::move(skb));
   // Span stamp: the frame is in host memory now; everything after this is
   // host-side latency.  Only pull replies belong to a tracked message, and
-  // the whole block is skipped unless spans or attribution were explicitly
-  // enabled.  The attribution key rides the bottom-half work item so the
-  // Machine can stamp its run-queue wait against the right message.
+  // the whole block is skipped unless spans were explicitly enabled.  The
+  // span key rides the bottom-half work item so the Machine can stamp its
+  // run-queue wait against the right message.
   auto& spans = node_.engine().spans();
-  auto& attrib = node_.engine().attrib();
   std::uint64_t akey = 0;
-  if (spans.enabled() || attrib.enabled()) {
+  if (spans.enabled()) {
     const auto* pkt = dynamic_cast<const OmxPkt*>(shared->payload());
     if (pkt && pkt->type == PktType::PullReply) {
       const auto& pr = static_cast<const PullReplyPkt&>(*pkt);
       if (pulls_.count(pr.dst_handle)) {
-        const std::uint64_t key = obs::span_key(node_.id(), pr.dst_handle);
-        if (spans.enabled())
-          spans.mark(key, obs::Phase::WireArrival, node_.engine().now());
-        if (attrib.enabled()) akey = key;
+        akey = obs::span_key(node_.id(), pr.dst_handle);
+        spans.mark(akey, obs::Phase::WireArrival, node_.engine().now());
       }
     }
   }
@@ -992,14 +985,13 @@ void Driver::bh_pull_reply(BhCtx& ctx, net::Skbuff& skb) {
   ++h.received;
 
   auto& spans = node_.engine().spans();
-  auto& attrib = node_.engine().attrib();
   const std::uint64_t skey = obs::span_key(node_.id(), h.handle);
-  // Wait-state stamps: protocol execution charged so far is bottom-half
-  // work; the copy paths below add their own categories.
-  const bool att = attrib.enabled();
-  const std::uint64_t akey = att ? skey : 0;
-  if (att) attrib.add(skey, obs::Wait::BhExec, ctx.cost - cost0);
-  if (spans.enabled()) {
+  const bool span_on = spans.enabled();
+  const std::uint64_t akey = span_on ? skey : 0;
+  if (span_on) {
+    // Wait-state stamp: protocol execution charged so far is bottom-half
+    // work; the copy paths below add their own categories.
+    spans.add(skey, obs::Wait::BhExec, ctx.cost - cost0);
     // first=entry of the first fragment's handler, last=end of this one
     // (the deferred mark runs when the charged core time has elapsed).
     spans.mark(skey, obs::Phase::BottomHalf, node_.engine().now());
@@ -1049,8 +1041,8 @@ void Driver::bh_pull_reply(BhCtx& ctx, net::Skbuff& skb) {
       // fragment's descriptors span exactly [cookie-nchunks+1, cookie].
       const std::uint64_t first_cookie = cookie - nchunks + 1;
       ctx.cost += ioat.submit_cost(nchunks);
-      if (att) attrib.add(skey, obs::Wait::BhExec, ioat.submit_cost(nchunks));
-      if (spans.enabled()) {
+      if (span_on) {
+        spans.add(skey, obs::Wait::BhExec, ioat.submit_cost(nchunks));
         spans.mark(skey, obs::Phase::IoatSubmit, node_.engine().now());
         // The channel is a FIFO, so this fragment's completion instant is
         // already known deterministically.
@@ -1065,30 +1057,28 @@ void Driver::bh_pull_reply(BhCtx& ctx, net::Skbuff& skb) {
         const sim::Time busy_until = node_.engine().now() + ctx.cost;
         if (done > busy_until) {
           ctx.cost += done - busy_until;
-          if (att)
-            attrib.add(skey, obs::Wait::DmaDrainWait, done - busy_until);
+          spans.add(skey, obs::Wait::DmaDrainWait, done - busy_until);
         }
         ctx.cost += ioat.poll_cost();
-        if (att) attrib.add(skey, obs::Wait::BhExec, ioat.poll_cost());
+        spans.add(skey, obs::Wait::BhExec, ioat.poll_cost());
       }
       h.pending.push_back(PendingSkb{skb, chan, cookie, first_cookie});
       c_large_ioat_bytes_->add(n);
     } else {
       const sim::Time copy_cost = bh_copy_cost(n, h.segs.min_piece(dst_off, n));
       ctx.cost += copy_cost;
-      if (att) {
+      if (span_on) {
         // Separate the copy's execution time from the extra time lost to
         // memory-bus contention: the uncontended duration is what the
         // same copy would cost with the NIC quiescent.
         const sim::Time exec = node_.params().memcpy_model.duration(
             n, std::min(h.segs.min_piece(dst_off, n), kPage), 0.0, false);
-        attrib.add(skey, obs::Wait::MemcpyExec, std::min(exec, copy_cost));
+        spans.add(skey, obs::Wait::MemcpyExec, std::min(exec, copy_cost));
         if (copy_cost > exec)
-          attrib.add(skey, obs::Wait::BusStall, copy_cost - exec);
+          spans.add(skey, obs::Wait::BusStall, copy_cost - exec);
       }
       net::Skbuff skb_copy = skb;
       const SegList segs = h.segs;
-      const bool span_on = spans.enabled();
       ctx.effect([segs, dst_off, src_bytes, n, skb_copy, this, bh_core,
                   span_on, skey]() mutable {
         OMX_WALL_ZONE("driver.copy");
@@ -1132,9 +1122,8 @@ void Driver::bh_pull_reply(BhCtx& ctx, net::Skbuff& skb) {
   if (block_complete && h.next_block < h.blocks_total) {
     const std::uint32_t next = h.next_block++;
     ctx.cost += costs.skb_alloc_ns + costs.tx_doorbell_ns;
-    if (att)
-      attrib.add(skey, obs::Wait::BhExec,
-                 costs.skb_alloc_ns + costs.tx_doorbell_ns);
+    spans.add(skey, obs::Wait::BhExec,
+              costs.skb_alloc_ns + costs.tx_doorbell_ns);
     const std::uint32_t handle = h.handle;
     ctx.effect([this, handle, next] {
       auto it2 = pulls_.find(handle);
@@ -1156,7 +1145,7 @@ void Driver::bh_pull_reply(BhCtx& ctx, net::Skbuff& skb) {
     });
     if (!h.pending.empty()) {
       ctx.cost += node_.ioat().poll_cost();
-      if (att) attrib.add(skey, obs::Wait::BhExec, node_.ioat().poll_cost());
+      spans.add(skey, obs::Wait::BhExec, node_.ioat().poll_cost());
     }
   }
 
@@ -1169,8 +1158,6 @@ void Driver::finish_pull(BhCtx& ctx, PullHandle& h) {
   // outstanding asynchronous copy of this message (Section III-A), then
   // reports the single completion event to user-space.
   auto& spans = node_.engine().spans();
-  auto& attrib = node_.engine().attrib();
-  const bool att = attrib.enabled();
   const std::uint64_t skey = obs::span_key(node_.id(), h.handle);
   if (!h.pending.empty()) {
     auto& ioat = node_.ioat();
@@ -1183,12 +1170,12 @@ void Driver::finish_pull(BhCtx& ctx, PullHandle& h) {
       // The CPU blocks here until the slowest channel drains — this is
       // the serial DMA tail of the message, the one piece of DMA time
       // that cannot hide behind fragment ingress.
-      if (att) attrib.add(skey, obs::Wait::DmaDrainWait, drain - busy_until);
+      spans.add(skey, obs::Wait::DmaDrainWait, drain - busy_until);
     }
     const sim::Time polls =
         ioat.poll_cost() * static_cast<sim::Time>(h.channels.size());
     ctx.cost += polls;
-    if (att) attrib.add(skey, obs::Wait::BhExec, polls);
+    spans.add(skey, obs::Wait::BhExec, polls);
     counters_.add("driver.drain_waits");
     // Descriptors that completed with error status moved no bytes; redo
     // those fragments with the CPU.  The error is latched at submission,
@@ -1199,18 +1186,17 @@ void Driver::finish_pull(BhCtx& ctx, PullHandle& h) {
         const std::size_t flen = p.skb.as<PullReplyPkt>().data.size();
         const sim::Time fb = bh_copy_cost(flen, flen);
         ctx.cost += fb;
-        if (att) attrib.add(skey, obs::Wait::MemcpyExec, fb);
+        spans.add(skey, obs::Wait::MemcpyExec, fb);
         c_dma_faults_->add();
         c_dma_fallback_bytes_->add(flen);
       }
     }
     // Offload path: the message data is fully in place once the slowest
     // channel drained — that instant is the copy-out point.
-    if (spans.enabled()) spans.mark(skey, obs::Phase::CopyOut, drain);
+    spans.mark(skey, obs::Phase::CopyOut, drain);
   }
   ctx.cost += config_.native_mx ? 0 : costs.bh_ack_ns;
-  if (att && !config_.native_mx)
-    attrib.add(skey, obs::Wait::BhExec, costs.bh_ack_ns);
+  if (!config_.native_mx) spans.add(skey, obs::Wait::BhExec, costs.bh_ack_ns);
 
   const std::uint32_t handle = h.handle;
   ctx.effect([this, handle, skey] {

@@ -247,7 +247,6 @@ class Driver {
     SegList segs;
     std::size_t len = 0;
     std::uint64_t request_id = 0;
-    int src_core_hint = 0;
   };
 
   // ----- helpers -----

@@ -190,9 +190,9 @@ class Machine {
     c.running = true;
     Item item = std::move(c.queue.front());
     c.queue.pop_front();
-    if (item.attrib_key && engine_.attrib().enabled())
-      engine_.attrib().add(item.attrib_key, obs::Wait::BhQueueWait,
-                           engine_.now() - item.enqueued_at);
+    if (item.attrib_key)
+      engine_.spans().add(item.attrib_key, obs::Wait::BhQueueWait,
+                          engine_.now() - item.enqueued_at);
     TaskResult r = item.work();
     c.busy[static_cast<std::size_t>(item.cat)] += r.cost;
     engine_.timeline().record(track_base_ + core,

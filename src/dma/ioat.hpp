@@ -139,9 +139,9 @@ class IoatEngine {
     if (fault.fail) c_desc_failures_->add();
     h_queue_wait_->add(static_cast<std::uint64_t>(queue_wait));
     h_transfer_->add(static_cast<std::uint64_t>(done - start));
-    if (attrib_key && engine_.attrib().enabled()) {
-      engine_.attrib().add(attrib_key, obs::Wait::DmaQueueWait, queue_wait);
-      engine_.attrib().add(attrib_key, obs::Wait::DmaTransfer, done - start);
+    if (attrib_key) {
+      engine_.spans().add(attrib_key, obs::Wait::DmaQueueWait, queue_wait);
+      engine_.spans().add(attrib_key, obs::Wait::DmaTransfer, done - start);
     }
     engine_.timeline().record(track_base_ + chan, obs::kCatDma, start,
                               done - start);

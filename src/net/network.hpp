@@ -123,9 +123,6 @@ class Skbuff {
   [[nodiscard]] const Payload* payload() const {
     return state_ ? state_->frame.payload.get() : nullptr;
   }
-  [[nodiscard]] std::size_t wire_bytes() const {
-    return state_ ? state_->frame.wire_bytes : 0;
-  }
   [[nodiscard]] std::uint32_t csum() const {
     return state_ ? state_->frame.csum : 0;
   }
@@ -189,7 +186,6 @@ class Nic {
 
   [[nodiscard]] int node_id() const { return node_id_; }
   [[nodiscard]] int bh_core() const { return bh_core_; }
-  void set_bh_core(int core) { bh_core_ = core; }
   void set_rx_callback(RxCallback cb) { rx_cb_ = std::move(cb); }
   [[nodiscard]] std::size_t rx_ring_in_use() const { return ring_in_use_; }
   [[nodiscard]] const sim::Counters& counters() const { return counters_; }
@@ -223,7 +219,7 @@ class Nic {
   cpu::Machine& machine_;
   mem::MemBus& bus_;
   int node_id_;
-  int bh_core_;
+  const int bh_core_;
   RxCallback rx_cb_;
   std::size_t ring_in_use_ = 0;
   sim::Counters counters_;
@@ -480,19 +476,21 @@ class Network {
 
     // A delayed frame is held back in the fabric *after* clearing the rx
     // port, so later frames overtake it: bounded reordering without
-    // head-of-line blocking the stream behind it.
-    Nic* dnic = nics_[dst];
-    engine_.schedule_at(
-        rx_end + c.extra_delay,
-        [this, dnic, frame = std::move(c.frame)] {
-          // The NIC is writing this frame into host memory right up to
-          // now; the bus stays loaded while the stream continues
-          // (descriptor fetches, the next frames already crossing the
-          // wire), so the contention window extends a few microseconds
-          // past each delivery.
-          dnic->bus_.note_nic_dma_until(engine_.now() + 6 * sim::kMicrosecond);
-          dnic->deliver(frame, params_);
-        });
+    // head-of-line blocking the stream behind it.  One delivery event per
+    // frame: the closure must stay inside EventFn's inline buffer, so the
+    // NIC is looked up when it fires rather than captured.
+    auto delivery = [this, frame = std::move(c.frame)] {
+      Nic* dnic = nics_[static_cast<std::size_t>(frame.dst_node)];
+      // The NIC is writing this frame into host memory right up to now;
+      // the bus stays loaded while the stream continues (descriptor
+      // fetches, the next frames already crossing the wire), so the
+      // contention window extends a few microseconds past each delivery.
+      dnic->bus_.note_nic_dma_until(engine_.now() + 6 * sim::kMicrosecond);
+      dnic->deliver(frame, params_);
+    };
+    static_assert(sim::EventFn::fits_inline<decltype(delivery)>(),
+                  "the per-frame delivery closure must not heap-allocate");
+    engine_.schedule_at(rx_end + c.extra_delay, std::move(delivery));
   }
 
   sim::Engine& engine_;

@@ -16,46 +16,14 @@ namespace openmx::obs {
 // ---------------------------------------------------------------------
 // Causal latency attribution for large-message receives.
 //
-// The span layer (obs/span.hpp) records *when* the phases of a receive
-// happened; this layer records *which resource the message was waiting
-// on* and turns both into a per-message blame breakdown that exactly
-// partitions the end-to-end receive time.  It is the machinery behind
-// the paper's Figures 8/9 argument: CPU memcpy vs. I/OAT DMA vs.
-// overlapped packet processing, now with queue waits and bus-contention
-// stalls separated from actual work.
+// The span table (obs/span.hpp) records *when* the phases of a receive
+// happened and *which resource the message was waiting on* (the raw
+// obs::Wait stamps); this layer turns both into a per-message blame
+// breakdown that exactly partitions the end-to-end receive time.  It is
+// the machinery behind the paper's Figures 8/9 argument: CPU memcpy vs.
+// I/OAT DMA vs. overlapped packet processing, now with queue waits and
+// bus-contention stalls separated from actual work.
 // ---------------------------------------------------------------------
-
-/// Raw wait-state stamps, accumulated per message at the instrumented
-/// sites (cpu::Machine run queue, dma::IoatEngine descriptor ring, the
-/// driver's rx copy paths).  These are resource-time totals: most of
-/// them overlap the wire window and each other, so they do NOT sum to
-/// the end-to-end latency — attribute_blame() below uses them to split
-/// the serial residual instead.
-enum class Wait : std::uint8_t {
-  BhQueueWait = 0,  // bottom-half work sat in a core's run queue
-  BhExec,           // bottom-half protocol processing (driver-charged)
-  DmaQueueWait,     // descriptor sat queued behind ring occupancy
-  DmaTransfer,      // engine-side descriptor time (startup + streaming)
-  DmaDrainWait,     // CPU blocked waiting for the slowest channel to drain
-  MemcpyExec,       // CPU copy at the uncontended memcpy rate
-  BusStall,         // extra memcpy time lost to memory-bus contention
-  kCount,
-};
-
-inline constexpr std::size_t kNumWaits = static_cast<std::size_t>(Wait::kCount);
-
-[[nodiscard]] inline const char* wait_name(Wait w) {
-  switch (w) {
-    case Wait::BhQueueWait: return "bh-queue-wait";
-    case Wait::BhExec: return "bh-exec";
-    case Wait::DmaQueueWait: return "dma-queue-wait";
-    case Wait::DmaTransfer: return "dma-transfer";
-    case Wait::DmaDrainWait: return "dma-drain-wait";
-    case Wait::MemcpyExec: return "memcpy-exec";
-    case Wait::BusStall: return "bus-stall";
-    default: return "?";
-  }
-}
 
 /// Blame categories of the end-to-end partition.  attribute_blame()
 /// assigns every nanosecond of a span's total_ns() to exactly one of
@@ -104,84 +72,6 @@ inline constexpr std::size_t kNumBlames = static_cast<std::size_t>(Blame::kCount
   }
 }
 
-/// Per-message raw wait-state totals, keyed like the spans
-/// (obs::span_key of the receiving node and pull handle).
-struct MsgWaits {
-  std::uint64_t key = 0;
-  int node = -1;
-  std::uint64_t bytes = 0;
-  std::array<sim::Time, kNumWaits> wait{};
-
-  [[nodiscard]] sim::Time get(Wait w) const {
-    return wait[static_cast<std::size_t>(w)];
-  }
-};
-
-/// Table of per-message wait-state stamps plus the global per-stamp
-/// distributions.  Disabled by default: a disabled table is one branch
-/// per stamp site, schedules nothing, allocates nothing — attribution
-/// fully off adds no events to the simulation (test_determinism runs
-/// with it off and on and gets bit-identical timings).
-class AttribTable {
- public:
-  void enable(bool on = true) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
-  /// Registers the message identity (called at pull start, mirroring
-  /// SpanTable::begin).
-  void begin(std::uint64_t key, int node, std::uint64_t bytes) {
-    if (!enabled_) return;
-    MsgWaits& m = msgs_[key];
-    m.key = key;
-    m.node = node;
-    m.bytes = bytes;
-  }
-
-  /// Accumulates one wait-state stamp.  Zero-duration stamps still count
-  /// toward the per-stamp distribution (a zero queue wait is a
-  /// measurement, not noise).
-  void add(std::uint64_t key, Wait w, sim::Time ns) {
-    if (!enabled_ || ns < 0) return;
-    MsgWaits& m = msgs_[key];
-    if (m.key == 0) m.key = key;
-    m.wait[static_cast<std::size_t>(w)] += ns;
-    stamp_hist_[static_cast<std::size_t>(w)].add(static_cast<std::uint64_t>(ns));
-  }
-
-  [[nodiscard]] const std::map<std::uint64_t, MsgWaits>& all() const {
-    return msgs_;
-  }
-  [[nodiscard]] std::size_t size() const { return msgs_.size(); }
-  [[nodiscard]] const MsgWaits* find(std::uint64_t key) const {
-    auto it = msgs_.find(key);
-    return it == msgs_.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] const Histogram& stamp_hist(Wait w) const {
-    return stamp_hist_[static_cast<std::size_t>(w)];
-  }
-
-  /// Exports the global per-stamp distributions as
-  /// `attrib.wait.<name>_ns` histograms.
-  void to_registry(Registry& reg) const {
-    for (std::size_t w = 0; w < kNumWaits; ++w) {
-      if (stamp_hist_[w].count() == 0) continue;
-      reg.histogram(std::string("attrib.wait.") +
-                    wait_name(static_cast<Wait>(w)) + "_ns")
-          .merge(stamp_hist_[w]);
-    }
-  }
-
-  void clear() {
-    msgs_.clear();
-    for (auto& h : stamp_hist_) h.reset();
-  }
-
- private:
-  bool enabled_ = false;
-  std::map<std::uint64_t, MsgWaits> msgs_;
-  std::array<Histogram, kNumWaits> stamp_hist_{};
-};
-
 using BlameVec = std::array<sim::Time, kNumBlames>;
 
 [[nodiscard]] inline sim::Time blame_sum(const BlameVec& v) {
@@ -212,8 +102,7 @@ using BlameVec = std::array<sim::Time, kNumBlames>;
 ///
 /// Splits use integer proportions with the remainder assigned to the
 /// largest component, so blame_sum() equals Span::total_ns() exactly.
-[[nodiscard]] inline BlameVec attribute_blame(const Span& s,
-                                              const MsgWaits* raw) {
+[[nodiscard]] inline BlameVec attribute_blame(const Span& s) {
   BlameVec out{};
   // Span window, as total_ns() computes it.
   sim::Time lo = -1, hi = -1;
@@ -245,58 +134,54 @@ using BlameVec = std::array<sim::Time, kNumBlames>;
   sim::Time mid = notify_start - w;
   if (mid <= 0) return out;
 
-  if (raw) {
-    // 2a. DMA tail: the measured drain wait, split queue-wait vs.
-    // transfer by this message's descriptor-level totals.
-    const sim::Time tail = std::min(mid, raw->get(Wait::DmaDrainWait));
-    if (tail > 0) {
-      const sim::Time q = raw->get(Wait::DmaQueueWait);
-      const sim::Time x = raw->get(Wait::DmaTransfer);
-      if (q + x > 0) {
-        const auto qpart = static_cast<sim::Time>(
-            static_cast<double>(tail) * static_cast<double>(q) /
-            static_cast<double>(q + x));
-        at(Blame::DmaQueueWait) = qpart;
-        at(Blame::DmaTransfer) = tail - qpart;
-      } else {
-        at(Blame::DmaTransfer) = tail;
-      }
-      mid -= tail;
+  // 2a. DMA tail: the measured drain wait, split queue-wait vs.
+  // transfer by this message's descriptor-level totals.
+  const sim::Time tail = std::min(mid, s.waited(Wait::DmaDrainWait));
+  if (tail > 0) {
+    const sim::Time q = s.waited(Wait::DmaQueueWait);
+    const sim::Time x = s.waited(Wait::DmaTransfer);
+    if (q + x > 0) {
+      const auto qpart = static_cast<sim::Time>(
+          static_cast<double>(tail) * static_cast<double>(q) /
+          static_cast<double>(q + x));
+      at(Blame::DmaQueueWait) = qpart;
+      at(Blame::DmaTransfer) = tail - qpart;
+    } else {
+      at(Blame::DmaTransfer) = tail;
     }
-    // 2b. Remaining residual: proportional to the measured host-side
-    // resource totals, remainder to the largest share (deterministic).
-    struct Part {
-      Blame blame;
-      Wait wait;
-    };
-    static constexpr Part parts[] = {
-        {Blame::BhQueueWait, Wait::BhQueueWait},
-        {Blame::BhExec, Wait::BhExec},
-        {Blame::MemcpyExec, Wait::MemcpyExec},
-        {Blame::BusStall, Wait::BusStall},
-    };
-    sim::Time total = 0;
-    for (const Part& p : parts) total += raw->get(p.wait);
-    if (total > 0 && mid > 0) {
-      sim::Time assigned = 0;
-      std::size_t largest = 0;
-      for (std::size_t i = 0; i < std::size(parts); ++i) {
-        const auto share = static_cast<sim::Time>(
-            static_cast<double>(mid) *
-            static_cast<double>(raw->get(parts[i].wait)) /
-            static_cast<double>(total));
-        at(parts[i].blame) += share;
-        assigned += share;
-        if (raw->get(parts[i].wait) > raw->get(parts[largest].wait))
-          largest = i;
-      }
-      at(parts[largest].blame) += mid - assigned;
-    } else if (mid > 0) {
-      at(Blame::BhExec) += mid;
+    mid -= tail;
+  }
+  // 2b. Remaining residual: proportional to the measured host-side
+  // resource totals, remainder to the largest share (deterministic).
+  struct Part {
+    Blame blame;
+    Wait wait;
+  };
+  static constexpr Part parts[] = {
+      {Blame::BhQueueWait, Wait::BhQueueWait},
+      {Blame::BhExec, Wait::BhExec},
+      {Blame::MemcpyExec, Wait::MemcpyExec},
+      {Blame::BusStall, Wait::BusStall},
+  };
+  sim::Time total = 0;
+  for (const Part& p : parts) total += s.waited(p.wait);
+  if (total > 0 && mid > 0) {
+    sim::Time assigned = 0;
+    std::size_t largest = 0;
+    for (std::size_t i = 0; i < std::size(parts); ++i) {
+      const auto share = static_cast<sim::Time>(
+          static_cast<double>(mid) *
+          static_cast<double>(s.waited(parts[i].wait)) /
+          static_cast<double>(total));
+      at(parts[i].blame) += share;
+      assigned += share;
+      if (s.waited(parts[i].wait) > s.waited(parts[largest].wait))
+        largest = i;
     }
-  } else {
-    // No wait-state stamps (attribution enabled mid-run, or a span from
-    // a foreign source): the residual is generic bottom-half time.
+    at(parts[largest].blame) += mid - assigned;
+  } else if (mid > 0) {
+    // No host-side stamps (a span built by hand, or stamps enabled
+    // mid-run): the residual is generic bottom-half time.
     at(Blame::BhExec) += mid;
   }
   return out;
@@ -339,7 +224,7 @@ using BlameVec = std::array<sim::Time, kNumBlames>;
 
 /// Aggregated blame per size class: deterministic percentile tables of
 /// each category, total-latency distribution, and the critical-path
-/// tally.  Built post-run from the span + wait tables; exported through
+/// tally.  Built post-run from the span table; exported through
 /// the existing Registry plumbing so the bench metrics JSON (and the
 /// regression guard sitting on it) see attribution drift.
 class AttribReport {
@@ -353,9 +238,9 @@ class AttribReport {
     Histogram total_hist;
   };
 
-  /// Folds one message in.  `raw` may be null (span without stamps).
-  void add(const Span& s, const MsgWaits* raw) {
-    const BlameVec blame = attribute_blame(s, raw);
+  /// Folds one message in.
+  void add(const Span& s) {
+    const BlameVec blame = attribute_blame(s);
     const sim::Time total = s.total_ns();
     ++checked_;
     if (blame_sum(blame) != total) ++mismatched_;
@@ -370,9 +255,9 @@ class AttribReport {
     ++agg.critical[static_cast<std::size_t>(critical_blame(blame))];
   }
 
-  /// Builds the report from a run's tables (span key order: deterministic).
-  void build(const SpanTable& spans, const AttribTable& attrib) {
-    for (const auto& [key, s] : spans.all()) add(s, attrib.find(key));
+  /// Builds the report from a run's spans (key order: deterministic).
+  void build(const SpanTable& spans) {
+    for (const auto& [key, s] : spans.all()) add(s);
   }
 
   [[nodiscard]] const std::map<std::uint64_t, ClassAgg>& classes() const {

@@ -26,14 +26,13 @@ namespace openmx::obs {
 /// native unit of the trace-event format.  Output is fully deterministic:
 /// metadata in (pid, tid) order, slices in recording order, spans in key
 /// order.  Load the file at https://ui.perfetto.dev or chrome://tracing.
-/// When `attrib` is non-null, each span track additionally carries one
-/// "blame:<critical-resource>" slice over the whole message whose args
-/// are the per-category latency attribution (attribute_blame) in
-/// microseconds — the causal breakdown right next to the waterfall.
+/// Each span track ends with one "blame:<critical-resource>" slice over
+/// the whole message whose args are the per-category latency attribution
+/// (attribute_blame) in microseconds — the causal breakdown right next to
+/// the waterfall.
 inline void write_chrome_trace_events(std::FILE* out, bool& first,
                                       const Timeline& tl,
-                                      const SpanTable& spans, int num_nodes,
-                                      const AttribTable* attrib = nullptr) {
+                                      const SpanTable& spans, int num_nodes) {
   auto sep = [&] {
     std::fputs(first ? "\n" : ",\n", out);
     first = false;
@@ -118,38 +117,33 @@ inline void write_chrome_trace_events(std::FILE* out, bool& first,
                    sim::to_micros(s.first[p]), sim::to_micros(dur),
                    sim::to_micros(s.overlap_ns()));
     }
-    if (attrib) {
-      const BlameVec blame = attribute_blame(s, attrib->find(key));
-      sim::Time lo = -1;
-      for (std::size_t p = 0; p < kNumPhases; ++p)
-        if (s.first[p] >= 0 && (lo < 0 || s.first[p] < lo)) lo = s.first[p];
-      if (lo >= 0) {
-        sep();
-        std::fprintf(out,
-                     "{\"name\":\"blame:%s\",\"cat\":\"attrib\",\"ph\":\"X\","
-                     "\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,"
-                     "\"args\":{",
-                     blame_name(critical_blame(blame)), s.node, tid,
-                     sim::to_micros(lo),
-                     sim::to_micros(std::max<sim::Time>(s.total_ns(), 1)));
-        for (std::size_t b = 0; b < kNumBlames; ++b)
-          std::fprintf(out, "%s\"%s_us\":%.3f", b ? "," : "",
-                       blame_key(static_cast<Blame>(b)),
-                       sim::to_micros(blame[b]));
-        std::fputs("}}", out);
-      }
-    }
+    sim::Time lo = -1;
+    for (std::size_t p = 0; p < kNumPhases; ++p)
+      if (s.first[p] >= 0 && (lo < 0 || s.first[p] < lo)) lo = s.first[p];
+    if (lo < 0) continue;
+    const BlameVec blame = attribute_blame(s);
+    sep();
+    std::fprintf(out,
+                 "{\"name\":\"blame:%s\",\"cat\":\"attrib\",\"ph\":\"X\","
+                 "\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,"
+                 "\"args\":{",
+                 blame_name(critical_blame(blame)), s.node, tid,
+                 sim::to_micros(lo),
+                 sim::to_micros(std::max<sim::Time>(s.total_ns(), 1)));
+    for (std::size_t b = 0; b < kNumBlames; ++b)
+      std::fprintf(out, "%s\"%s_us\":%.3f", b ? "," : "",
+                   blame_key(static_cast<Blame>(b)), sim::to_micros(blame[b]));
+    std::fputs("}}", out);
   }
 }
 
 /// Complete single-clock trace document (the historical entry point):
 /// the virtual-time event body wrapped in the traceEvents envelope.
 inline void write_chrome_trace(std::FILE* out, const Timeline& tl,
-                               const SpanTable& spans, int num_nodes,
-                               const AttribTable* attrib = nullptr) {
+                               const SpanTable& spans, int num_nodes) {
   bool first = true;
   std::fputs("{\"traceEvents\":[", out);
-  write_chrome_trace_events(out, first, tl, spans, num_nodes, attrib);
+  write_chrome_trace_events(out, first, tl, spans, num_nodes);
   std::fputs("\n],\"displayTimeUnit\":\"ns\"}\n", out);
 }
 
@@ -157,11 +151,10 @@ inline void write_chrome_trace(std::FILE* out, const Timeline& tl,
 /// file could not be opened.
 inline bool write_chrome_trace_file(const std::string& path,
                                     const Timeline& tl, const SpanTable& spans,
-                                    int num_nodes,
-                                    const AttribTable* attrib = nullptr) {
+                                    int num_nodes) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
-  write_chrome_trace(f, tl, spans, num_nodes, attrib);
+  write_chrome_trace(f, tl, spans, num_nodes);
   std::fclose(f);
   return true;
 }
@@ -176,11 +169,10 @@ inline bool write_chrome_trace_file(const std::string& path,
 /// have been enabled before the run; with it off the host tracks are
 /// simply absent and the document equals write_chrome_trace's.
 inline void write_dual_clock_trace(std::FILE* out, const Timeline& tl,
-                                   const SpanTable& spans, int num_nodes,
-                                   const AttribTable* attrib = nullptr) {
+                                   const SpanTable& spans, int num_nodes) {
   bool first = true;
   std::fputs("{\"traceEvents\":[", out);
-  write_chrome_trace_events(out, first, tl, spans, num_nodes, attrib);
+  write_chrome_trace_events(out, first, tl, spans, num_nodes);
   WallProfiler::instance().write_trace_events(out, first);
   std::fputs("\n],\"displayTimeUnit\":\"ns\"}\n", out);
 }
@@ -188,11 +180,10 @@ inline void write_dual_clock_trace(std::FILE* out, const Timeline& tl,
 /// Convenience wrapper writing the dual-clock trace straight to `path`.
 inline bool write_dual_clock_trace_file(const std::string& path,
                                         const Timeline& tl,
-                                        const SpanTable& spans, int num_nodes,
-                                        const AttribTable* attrib = nullptr) {
+                                        const SpanTable& spans, int num_nodes) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
-  write_dual_clock_trace(f, tl, spans, num_nodes, attrib);
+  write_dual_clock_trace(f, tl, spans, num_nodes);
   std::fclose(f);
   return true;
 }

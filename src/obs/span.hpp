@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <string>
 
+#include "obs/registry.hpp"
 #include "sim/time.hpp"
 
 namespace openmx::obs {
@@ -39,6 +41,38 @@ inline constexpr std::size_t kNumPhases = static_cast<std::size_t>(Phase::kCount
   }
 }
 
+/// Raw wait-state stamps, accumulated per message at the instrumented
+/// sites (cpu::Machine run queue, dma::IoatEngine descriptor ring, the
+/// driver's rx copy paths).  These are resource-time totals: most of
+/// them overlap the wire window and each other, so they do NOT sum to
+/// the end-to-end latency — obs::attribute_blame uses them to split the
+/// serial residual instead.
+enum class Wait : std::uint8_t {
+  BhQueueWait = 0,  // bottom-half work sat in a core's run queue
+  BhExec,           // bottom-half protocol processing (driver-charged)
+  DmaQueueWait,     // descriptor sat queued behind ring occupancy
+  DmaTransfer,      // engine-side descriptor time (startup + streaming)
+  DmaDrainWait,     // CPU blocked waiting for the slowest channel to drain
+  MemcpyExec,       // CPU copy at the uncontended memcpy rate
+  BusStall,         // extra memcpy time lost to memory-bus contention
+  kCount,
+};
+
+inline constexpr std::size_t kNumWaits = static_cast<std::size_t>(Wait::kCount);
+
+[[nodiscard]] inline const char* wait_name(Wait w) {
+  switch (w) {
+    case Wait::BhQueueWait: return "bh-queue-wait";
+    case Wait::BhExec: return "bh-exec";
+    case Wait::DmaQueueWait: return "dma-queue-wait";
+    case Wait::DmaTransfer: return "dma-transfer";
+    case Wait::DmaDrainWait: return "dma-drain-wait";
+    case Wait::MemcpyExec: return "memcpy-exec";
+    case Wait::BusStall: return "bus-stall";
+    default: return "?";
+  }
+}
+
 /// Span key: one large-message receive is identified by (receiving node,
 /// driver pull handle) — unique for the lifetime of a simulation because
 /// drivers never reuse handles.
@@ -47,13 +81,15 @@ inline constexpr std::size_t kNumPhases = static_cast<std::size_t>(Phase::kCount
          handle;
 }
 
-/// First/last timestamp of every phase of one message receive.
+/// First/last timestamp of every phase of one message receive, and the
+/// message's raw wait-state totals.
 struct Span {
   std::uint64_t key = 0;
   int node = -1;
   std::uint64_t bytes = 0;
   std::array<sim::Time, kNumPhases> first;
   std::array<sim::Time, kNumPhases> last;
+  std::array<sim::Time, kNumWaits> waits{};
 
   Span() {
     first.fill(-1);
@@ -68,6 +104,9 @@ struct Span {
   }
   [[nodiscard]] sim::Time last_at(Phase p) const {
     return last[static_cast<std::size_t>(p)];
+  }
+  [[nodiscard]] sim::Time waited(Wait w) const {
+    return waits[static_cast<std::size_t>(w)];
   }
 
   void mark(Phase p, sim::Time t) {
@@ -105,9 +144,13 @@ struct Span {
   }
 };
 
-/// Table of message-lifecycle spans, keyed by span_key().  Disabled by
-/// default: a disabled table is one branch per stamp site.  Spans are
-/// kept after the message completes — they are the post-run waterfall.
+/// Table of message-lifecycle spans, keyed by span_key(), plus the global
+/// per-Wait stamp distributions.  Disabled by default: a disabled table
+/// is one branch per stamp site, schedules nothing and allocates nothing,
+/// and an enabled one schedules nothing either: a ping-pong run with it
+/// off and on gives bit-identical timings and event counts (test_attrib).
+/// Spans are kept after the message completes — they are the post-run
+/// waterfall and the input of obs::AttribReport.
 class SpanTable {
  public:
   void enable(bool on = true) { enabled_ = on; }
@@ -129,6 +172,17 @@ class SpanTable {
     s.mark(p, t);
   }
 
+  /// Accumulates one wait-state stamp.  Zero-duration stamps still count
+  /// toward the per-stamp distribution (a zero queue wait is a
+  /// measurement, not noise).
+  void add(std::uint64_t key, Wait w, sim::Time ns) {
+    if (!enabled_ || ns < 0) return;
+    Span& s = spans_[key];
+    if (s.key == 0) s.key = key;
+    s.waits[static_cast<std::size_t>(w)] += ns;
+    stamp_hist_[static_cast<std::size_t>(w)].add(static_cast<std::uint64_t>(ns));
+  }
+
   [[nodiscard]] const std::map<std::uint64_t, Span>& all() const {
     return spans_;
   }
@@ -137,12 +191,30 @@ class SpanTable {
     auto it = spans_.find(key);
     return it == spans_.end() ? nullptr : &it->second;
   }
+  [[nodiscard]] const Histogram& stamp_hist(Wait w) const {
+    return stamp_hist_[static_cast<std::size_t>(w)];
+  }
 
-  void clear() { spans_.clear(); }
+  /// Exports the global per-stamp distributions as
+  /// `attrib.wait.<name>_ns` histograms.
+  void to_registry(Registry& reg) const {
+    for (std::size_t w = 0; w < kNumWaits; ++w) {
+      if (stamp_hist_[w].count() == 0) continue;
+      reg.histogram(std::string("attrib.wait.") +
+                    wait_name(static_cast<Wait>(w)) + "_ns")
+          .merge(stamp_hist_[w]);
+    }
+  }
+
+  void clear() {
+    spans_.clear();
+    for (auto& h : stamp_hist_) h.reset();
+  }
 
  private:
   bool enabled_ = false;
   std::map<std::uint64_t, Span> spans_;
+  std::array<Histogram, kNumWaits> stamp_hist_{};
 };
 
 /// Per-message waterfall: phase offsets relative to the first wire

@@ -7,7 +7,6 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -46,19 +45,14 @@ enum class Cat : std::uint8_t {
   return Cat::Other;
 }
 
-/// Set in TraceEvent::flags when a0 is an id into the message interner
-/// (string-API compatibility path) rather than a raw argument.
-inline constexpr std::uint8_t kMsgInterned = 1;
-
 /// One trace record: fixed-size POD, no strings, no allocation on the
 /// record path.  32 bytes.
 struct TraceEvent {
   sim::Time when = 0;
   std::int32_t node = -1;
   Cat cat = Cat::Other;
-  std::uint8_t flags = 0;
   std::uint16_t id = 0;  // interned event name
-  std::uint64_t a0 = 0;  // event argument (or interned message id)
+  std::uint64_t a0 = 0;  // event argument
   std::uint64_t a1 = 0;  // event argument
 };
 static_assert(std::is_trivially_copyable_v<TraceEvent>);
@@ -100,45 +94,6 @@ class Interner {
  private:
   std::deque<std::string> names_;
   std::map<std::string_view, std::uint32_t> index_;
-};
-
-/// Bounded ring of TraceEvents.  When full, the oldest records are
-/// overwritten (and counted as dropped) so long experiments keep their
-/// tail.  Storage grows lazily: a never-enabled trace costs nothing.
-class TraceBuffer {
- public:
-  explicit TraceBuffer(std::size_t capacity) : capacity_(capacity) {}
-
-  void push(const TraceEvent& e) {
-    if (events_.size() == capacity_) {
-      events_[head_] = e;
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
-      return;
-    }
-    events_.push_back(e);
-  }
-
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-
-  /// i-th record in chronological order.
-  [[nodiscard]] const TraceEvent& chrono(std::size_t i) const {
-    return events_[(head_ + i) % events_.size()];
-  }
-
-  void clear() {
-    events_.clear();
-    head_ = 0;
-    dropped_ = 0;
-  }
-
- private:
-  std::size_t capacity_;
-  std::vector<TraceEvent> events_;
-  std::size_t head_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace openmx::obs

@@ -17,13 +17,6 @@
 #include <x86intrin.h>
 #endif
 
-/// Build-time gate: configure with -DENABLE_WALLPROF=OFF (which defines
-/// OMX_WALLPROF_BUILD=0) and every OMX_WALL_ZONE expands to nothing — no
-/// statics, no branches, byte-identical codegen to an uninstrumented tree.
-#ifndef OMX_WALLPROF_BUILD
-#define OMX_WALLPROF_BUILD 1
-#endif
-
 namespace openmx::obs {
 
 /// Host wall-clock self-profiler: where does the *simulator's own* time go?
@@ -44,11 +37,9 @@ namespace openmx::obs {
 /// nothing in the library ever merges them into a simulation registry,
 /// replay digest, or committed baseline (asserted by test_wallprof).
 ///
-/// Gates:
-///  - build time: ENABLE_WALLPROF=OFF compiles zones out entirely;
-///  - run time: OMX_WALLPROF=0 in the environment (or set_enabled(false))
-///    reduces a zone to one relaxed atomic load — no clock reads, no
-///    thread-table allocation, nothing recorded.
+/// Gate: OMX_WALLPROF=0 in the environment (or set_enabled(false))
+/// reduces a zone to one relaxed atomic load — no clock reads, no
+/// thread-table allocation, nothing recorded.
 ///
 /// Each zone exit additionally appends a {zone, t0, t1} slice to a
 /// bounded per-thread ring, from which write_trace_events() renders one
@@ -102,10 +93,6 @@ class WallProfiler {
   /// it captured at entry; new zones become no-ops.
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] static constexpr bool compiled_in() {
-    return OMX_WALLPROF_BUILD != 0;
   }
 
   [[nodiscard]] const char* clock_name() const {
@@ -360,7 +347,7 @@ class WallProfiler {
     epoch_raw_ = now_raw();
     epoch_wall_ = std::chrono::steady_clock::now();
     const char* env = std::getenv("OMX_WALLPROF");
-    enabled_.store(compiled_in() && !(env && env[0] == '0' && !env[1]),
+    enabled_.store(!(env && env[0] == '0' && !env[1]),
                    std::memory_order_relaxed);
   }
 
@@ -450,7 +437,6 @@ class WallZone {
 
 }  // namespace openmx::obs
 
-#if OMX_WALLPROF_BUILD
 #define OMX_WALL_CAT2(a, b) a##b
 #define OMX_WALL_CAT(a, b) OMX_WALL_CAT2(a, b)
 #define OMX_WALL_ZONE_IMPL(name, id_var, zone_var)                     \
@@ -459,15 +445,9 @@ class WallZone {
   const ::openmx::obs::WallZone zone_var { id_var }
 /// Opens a scoped wall-clock zone for the rest of the enclosing block.
 /// The name is interned once (function-local static); when the profiler
-/// is disabled at runtime the whole zone is one relaxed atomic load, and
-/// when compiled out (ENABLE_WALLPROF=OFF) it is nothing at all.
+/// is disabled at runtime the whole zone is one relaxed atomic load.
 /// A zone must not contain a sim::SimThread yield: a process is a fiber on
 /// the engine's thread, whose zone stack the engine and other fibers use.
 #define OMX_WALL_ZONE(name)                                            \
   OMX_WALL_ZONE_IMPL(name, OMX_WALL_CAT(omx_wzid_, __COUNTER__),       \
                      OMX_WALL_CAT(omx_wz_, __COUNTER__))
-#else
-#define OMX_WALL_ZONE(name) \
-  do {                      \
-  } while (0)
-#endif

@@ -6,7 +6,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "obs/attrib.hpp"
 #include "obs/span.hpp"
 #include "obs/timeline.hpp"
 #include "obs/wallprof.hpp"
@@ -20,9 +19,10 @@ namespace openmx::sim {
 class Engine;
 
 /// Callback type stored per event: 48 bytes of inline capture storage
-/// covers every lambda the simulator schedules (the largest, the NIC
-/// delivery closure, is exactly 48 bytes); bigger captures silently fall
-/// back to one heap allocation.
+/// covers every per-frame lambda the simulator schedules (the NIC
+/// delivery closure, a Network pointer plus a 40-byte Frame, is exactly
+/// 48 bytes and static_asserts that it fits); bigger captures silently
+/// fall back to one heap allocation.
 using EventFn = InlineFn<48>;
 
 /// Sub-timestamp dispatch band.
@@ -221,10 +221,10 @@ class Engine {
 
   /// Installs the postmortem hook: panic(why) invokes it at most once
   /// (re-armed by installing a new hook).  Harnesses point it at
-  /// obs::FlightRecorder::dump_json_file so the event tail survives any
-  /// fatal path — a throwing event callback triggers it automatically,
-  /// and components call panic() at their own unrecoverable sites (e.g.
-  /// the driver when a fault plan exhausts a message's retry budget).
+  /// Trace::dump_json_file so the event tail survives any fatal path — a
+  /// throwing event callback triggers it automatically, and components
+  /// call panic() at their own unrecoverable sites (e.g. the driver when a
+  /// fault plan exhausts a message's retry budget).
   void set_on_panic(std::function<void(const char*)> fn) {
     on_panic_ = std::move(fn);
     panicked_ = false;
@@ -246,16 +246,13 @@ class Engine {
   /// synchronization window.
   [[nodiscard]] bool next_event_time(Time& when) { return peek_next_when(when); }
 
-  /// Event trace shared by every component driven by this engine
+  /// Event ring shared by every component driven by this engine
   /// (disabled by default; see sim::Trace).
   [[nodiscard]] Trace& trace() { return trace_; }
 
-  /// Message-lifecycle spans (disabled by default; see obs::SpanTable).
+  /// Message-lifecycle spans with their wait-state stamps, the input of
+  /// latency attribution (disabled by default; see obs::SpanTable).
   [[nodiscard]] obs::SpanTable& spans() { return spans_; }
-
-  /// Per-message wait-state stamps for latency attribution (disabled by
-  /// default; see obs::AttribTable).
-  [[nodiscard]] obs::AttribTable& attrib() { return attrib_; }
 
   /// Core/DMA utilization timeline (disabled by default; see
   /// obs::Timeline).
@@ -275,6 +272,9 @@ class Engine {
   /// timestamp with plain FIFO inside each band.  next_seq_ stays a pure
   /// schedule counter (events_scheduled()).
   static constexpr unsigned kBandShift = 62;
+  static_assert(static_cast<unsigned>(Band::kNormal) <  // the largest band
+                    (1u << (64 - kBandShift)),
+                "every Band must fit above kBandShift in the sequence key");
 
   template <typename F>
   EventRecord* push_event(Time when, Band band, F&& fn) {
@@ -317,7 +317,6 @@ class Engine {
   EventHeap heap_;
   Trace trace_;
   obs::SpanTable spans_;
-  obs::AttribTable attrib_;
   obs::Timeline timeline_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;

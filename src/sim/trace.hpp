@@ -1,83 +1,56 @@
 #pragma once
 
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
-#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "sim/time.hpp"
 
 namespace openmx::sim {
 
-/// One record in the event trace, reconstructed with strings for
-/// inspection.  The stored form is the 32-byte POD obs::TraceEvent; this
-/// struct only exists at snapshot() time.
-struct TraceRecord {
-  Time when = 0;
-  int node = -1;
-  std::string category;  // "wire.tx", "pull.start", ...
-  std::string message;
-};
-
-/// A bounded in-memory trace of simulation events.
+/// The simulation's event ring: a bounded store of 32-byte POD
+/// obs::TraceEvents (interned name id, node, two u64 arguments — no
+/// strings and no allocation on the record path once the ring is full).
 ///
-/// Compatibility shim over the typed obs:: trace machinery: records are
-/// fixed-size PODs carrying interned name ids and two u64 arguments — no
-/// std::string ever touches the record path.  The classic string API
-/// (record(), snapshot(), count()) survives on top of it:
-///  - record(category, message) interns both strings;
-///  - record(category, lazy) only invokes the message-building callable
-///    when the record will actually be stored;
-///  - intern_event()/event() is the zero-allocation fast path used by
-///    hot call sites (wire tx, pull lifecycle);
-///  - OMX_TRACEF never evaluates its arguments when tracing is off.
-///
-/// Disabled is the default, and a disabled trace is one branch per call
-/// site.  The buffer is a ring: when full, the oldest records are
-/// dropped, so long experiments keep their tail.
+/// Its one setting is the capacity.  enable(capacity) (re)starts the ring
+/// with room for that many events; 0, the default, turns it off, and a
+/// disabled trace is one branch per call site.  When the ring is full the
+/// oldest events are overwritten, so a long run keeps its tail.  Full
+/// traces (trace_viewer, the telemetry tests) keep kFullCapacity events;
+/// postmortem harnesses keep a few hundred, which is all dump_json() needs
+/// to map a failure to the message it hit.
 class Trace {
  public:
-  explicit Trace(std::size_t capacity = 1 << 16) : buf_(capacity) {}
+  static constexpr std::size_t kFullCapacity = std::size_t{1} << 16;
 
+  Trace() = default;
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
 
-  void enable(bool on = true) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
-  /// Attaches an always-on flight recorder: every typed event() — the
-  /// unconditional hot call sites (wire tx, pull lifecycle) — is mirrored
-  /// into `fr`'s ring for shard `shard` even while the trace itself is
-  /// disabled, at the cost of one POD store.  The string record() paths
-  /// feed it too, but only when their call site runs (OMX_TRACEF checks
-  /// enabled() at the call site).  Passing nullptr detaches.
-  void attach_flight(obs::FlightRecorder* fr, std::uint32_t shard = 0) {
-    flight_ = fr;
-    flight_shard_ = shard;
-    if (fr) fr->bind_names(shard, &events_, &msgs_);
+  /// Empties the ring and gives it room for `capacity` events (0 = off).
+  void enable(std::size_t capacity = kFullCapacity) {
+    cap_ = capacity;
+    clear();
   }
-  [[nodiscard]] obs::FlightRecorder* flight() const { return flight_; }
-
-  /// Restrict recording to one category prefix (empty = everything).
-  void set_filter(std::string prefix) { filter_ = std::move(prefix); }
+  [[nodiscard]] bool enabled() const { return cap_ != 0; }
+  [[nodiscard]] std::size_t capacity() const { return cap_; }
 
   /// Pre-interns an event name; the returned id makes event() a pure POD
-  /// store.  Call once per site (component constructors).
+  /// store.  Call once per site (component constructors).  Interning is
+  /// idempotent: the same name always yields the same id.
   [[nodiscard]] obs::EventId intern_event(std::string_view name) {
-    const std::uint32_t id = events_.intern(name);
+    const std::uint32_t id = names_.intern(name);
     return obs::EventId{static_cast<std::uint16_t>(id), obs::classify(name)};
   }
 
-  /// Typed fast path: no strings, no allocation; a0/a1 are free-form
-  /// event arguments (byte counts, handles, packed addresses).
+  /// Records one event; a0/a1 are free-form arguments (byte counts,
+  /// handles, packed addresses).
   void event(Time when, int node, obs::EventId id, std::uint64_t a0 = 0,
              std::uint64_t a1 = 0) {
-    if (!flight_ && !enabled_) return;
+    if (cap_ == 0) return;
     obs::TraceEvent e;
     e.when = when;
     e.node = node;
@@ -85,126 +58,116 @@ class Trace {
     e.id = id.id;
     e.a0 = a0;
     e.a1 = a1;
-    if (flight_) flight_->record(flight_shard_, e);
-    if (!enabled_ || !pass(events_.name(id.id))) return;
-    buf_.push(e);
-  }
-
-  /// String-compatibility path: both strings are interned (identical
-  /// strings are stored once).
-  void record(Time when, int node, std::string_view category,
-              std::string_view message) {
-    const bool store = enabled_ && pass(category);
-    if (!store && !flight_) return;
-    obs::TraceEvent e;
-    e.when = when;
-    e.node = node;
-    e.cat = obs::classify(category);
-    e.flags = obs::kMsgInterned;
-    e.id = static_cast<std::uint16_t>(events_.intern(category));
-    e.a0 = msgs_.intern(message);
-    if (flight_) flight_->record(flight_shard_, e);
-    if (store) buf_.push(e);
-  }
-
-  /// Lazy path: `lazy()` builds the message string and is only invoked
-  /// when the record passes the enabled/filter checks.
-  template <typename Fn,
-            std::enable_if_t<std::is_invocable_v<Fn&>, int> = 0>
-  void record(Time when, int node, std::string_view category, Fn&& lazy) {
-    if (!enabled_ || !pass(category)) return;
-    record(when, node, category, std::string_view(lazy()));
-  }
-
-  /// printf-style recording; see OMX_TRACEF for the call-site macro that
-  /// makes the whole call free when tracing is off.
-#if defined(__GNUC__)
-  __attribute__((format(printf, 5, 6)))
-#endif
-  void
-  recordf(Time when, int node, std::string_view category, const char* fmt,
-          ...) {
-    if (!enabled_ || !pass(category)) return;
-    char msg[192];
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(msg, sizeof msg, fmt, ap);
-    va_end(ap);
-    record(when, node, category, std::string_view(msg));
-  }
-
-  /// Records in chronological order, with names/messages reconstructed.
-  [[nodiscard]] std::vector<TraceRecord> snapshot() const {
-    std::vector<TraceRecord> out;
-    out.reserve(buf_.size());
-    for (std::size_t i = 0; i < buf_.size(); ++i) {
-      const obs::TraceEvent& e = buf_.chrono(i);
-      out.push_back(TraceRecord{e.when, e.node, events_.name(e.id),
-                                message_of(e)});
+    if (ring_.size() < cap_) {
+      ring_.push_back(e);
+      return;
     }
+    ring_[head_] = e;
+    if (++head_ == cap_) head_ = 0;
+    ++dropped_;
+  }
+
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  /// Events overwritten because the ring was full.
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+
+  void clear() {
+    ring_.clear();
+    head_ = 0;
+    dropped_ = 0;
+  }
+
+  /// The retained events, oldest first.
+  [[nodiscard]] std::vector<obs::TraceEvent> tail() const {
+    std::vector<obs::TraceEvent> out;
+    out.reserve(ring_.size());
+    for (std::size_t i = 0; i < ring_.size(); ++i) out.push_back(at(i));
     return out;
   }
 
-  /// Number of records matching a category prefix.
-  [[nodiscard]] std::size_t count(std::string_view prefix) const {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < buf_.size(); ++i)
-      if (std::string_view(events_.name(buf_.chrono(i).id))
-              .starts_with(prefix))
-        ++n;
-    return n;
+  /// Human-readable dump of the last `max_lines` events.
+  void dump(std::FILE* out = stdout, std::size_t max_lines = 200) const {
+    const std::size_t start =
+        ring_.size() > max_lines ? ring_.size() - max_lines : 0;
+    for (std::size_t i = start; i < ring_.size(); ++i) {
+      const obs::TraceEvent& e = at(i);
+      std::fprintf(out, "%12.3f us  n%d  %-10s ", to_micros(e.when), e.node,
+                   names_.name(e.id).c_str());
+      if (e.a1)
+        std::fprintf(out, "a0=%llu a1=%llu\n",
+                     static_cast<unsigned long long>(e.a0),
+                     static_cast<unsigned long long>(e.a1));
+      else if (e.a0)
+        std::fprintf(out, "a0=%llu\n", static_cast<unsigned long long>(e.a0));
+      else
+        std::fputc('\n', out);
+    }
   }
 
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  [[nodiscard]] std::uint64_t dropped() const { return buf_.dropped(); }
+  /// Postmortem dump in Chrome-trace form: a "postmortem" header line
+  /// (failure reason, seed, ring capacity, events ever recorded), then
+  /// the retained events oldest first, one instant event per line in a
+  /// fixed field order so `omx_postmortem` can parse the file with
+  /// sscanf.  Wired into soak invariant failures, the driver's
+  /// retries-exhausted fatal paths and Engine::on_panic.
+  void dump_json(std::FILE* out, const char* reason,
+                 std::uint64_t seed) const {
+    std::fprintf(out,
+                 "{\"postmortem\":{\"reason\":\"%s\",\"seed\":%llu,"
+                 "\"capacity\":%zu,\"recorded\":%llu},\n\"traceEvents\":["
+                 "\n{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
+                 "\"args\":{\"name\":\"trace\"}}",
+                 escape(reason).c_str(), static_cast<unsigned long long>(seed),
+                 cap_,
+                 static_cast<unsigned long long>(ring_.size() + dropped_));
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      const obs::TraceEvent& e = at(i);
+      std::fprintf(
+          out,
+          ",\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\","
+          "\"pid\":0,\"tid\":%d,\"ts\":%.3f,"
+          "\"args\":{\"node\":%d,\"a0\":%llu,\"a1\":%llu}}",
+          escape(names_.name(e.id).c_str()).c_str(), obs::cat_name(e.cat),
+          e.node >= 0 ? e.node : 0, to_micros(e.when), e.node,
+          static_cast<unsigned long long>(e.a0),
+          static_cast<unsigned long long>(e.a1));
+    }
+    std::fputs("\n],\"displayTimeUnit\":\"ns\"}\n", out);
+  }
 
-  void clear() { buf_.clear(); }
-
-  /// Raw typed view (exporters, tests of the POD path).
-  [[nodiscard]] const obs::TraceBuffer& buffer() const { return buf_; }
-  [[nodiscard]] const obs::Interner& event_names() const { return events_; }
-
-  /// Human-readable dump (for examples and debugging).
-  void dump(std::FILE* out = stdout, std::size_t max_lines = 200) const {
-    const auto recs = snapshot();
-    const std::size_t start =
-        recs.size() > max_lines ? recs.size() - max_lines : 0;
-    for (std::size_t i = start; i < recs.size(); ++i)
-      std::fprintf(out, "%12.3f us  n%d  %-10s %s\n",
-                   to_micros(recs[i].when), recs[i].node,
-                   recs[i].category.c_str(), recs[i].message.c_str());
+  /// Writes the dump to `path`; returns false if the file cannot be
+  /// opened (the caller is already on a failure path — never throw).
+  bool dump_json_file(const std::string& path, const char* reason,
+                      std::uint64_t seed) const {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (!f) return false;
+    dump_json(f, reason, seed);
+    std::fclose(f);
+    return true;
   }
 
  private:
-  [[nodiscard]] bool pass(std::string_view category) const {
-    return filter_.empty() || category.starts_with(filter_);
+  /// i-th retained event, oldest first.
+  [[nodiscard]] const obs::TraceEvent& at(std::size_t i) const {
+    return ring_[(head_ + i) % ring_.size()];
   }
 
-  [[nodiscard]] std::string message_of(const obs::TraceEvent& e) const {
-    if (e.flags & obs::kMsgInterned)
-      return msgs_.name(static_cast<std::uint32_t>(e.a0));
-    if (e.a1)
-      return "a0=" + std::to_string(e.a0) + " a1=" + std::to_string(e.a1);
-    if (e.a0) return "a0=" + std::to_string(e.a0);
-    return {};
+  /// Minimal JSON string sanitizer for reasons and event names (both come
+  /// from our own code, so mapping the rare quote/backslash/control byte
+  /// to a safe character beats dragging in real escaping).
+  [[nodiscard]] static std::string escape(const char* s) {
+    std::string out(s ? s : "");
+    for (char& c : out)
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20)
+        c = '\'';
+    return out;
   }
 
-  bool enabled_ = false;
-  std::string filter_;
-  obs::TraceBuffer buf_;
-  obs::Interner events_;  // event/category names (bounded, u16 ids)
-  obs::Interner msgs_;    // compat-path message strings
-  obs::FlightRecorder* flight_ = nullptr;  // always-on postmortem ring
-  std::uint32_t flight_shard_ = 0;
+  std::size_t cap_ = 0;
+  std::vector<obs::TraceEvent> ring_;
+  std::size_t head_ = 0;  // oldest event once the ring is full
+  std::uint64_t dropped_ = 0;
+  obs::Interner names_;  // event names (bounded, u16 ids)
 };
 
 }  // namespace openmx::sim
-
-/// Free-when-disabled trace macro: arguments after `cat` are a printf
-/// format + values and are not evaluated unless the trace is enabled.
-#define OMX_TRACEF(tr, when, node, cat, ...)                       \
-  do {                                                             \
-    auto& omx_tracef_ref_ = (tr);                                  \
-    if (omx_tracef_ref_.enabled())                                 \
-      omx_tracef_ref_.recordf((when), (node), (cat), __VA_ARGS__); \
-  } while (0)

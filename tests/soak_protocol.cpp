@@ -29,7 +29,6 @@
 #include "core/endpoint.hpp"
 #include "fault/fault.hpp"
 #include "obs/attrib.hpp"
-#include "obs/flight.hpp"
 #include "obs/monitor.hpp"
 #include "sim/rng.hpp"
 #include "sim/sweep.hpp"
@@ -151,16 +150,15 @@ RunResult run_one(std::uint64_t seed) {
   core::Cluster cluster;
   cluster.add_nodes(static_cast<std::size_t>(nnodes), cfg);
   cluster.engine().spans().enable();
-  cluster.engine().attrib().enable();
 
-  // Always-on flight recorder: whatever happens, the last ~512 trace
-  // events survive for the postmortem dump below.
-  obs::FlightRecorder recorder(1, 512);
-  cluster.engine().trace().attach_flight(&recorder, 0);
+  // Postmortem ring: whatever happens, the last 512 trace events survive
+  // for the dump below.
+  sim::Trace& trace = cluster.engine().trace();
+  trace.enable(512);
   const std::string postmortem_path =
       bench::out_path("postmortem_" + std::to_string(seed) + ".json");
   cluster.engine().set_on_panic([&](const char* why) {
-    recorder.dump_json_file(postmortem_path, why, seed);
+    trace.dump_json_file(postmortem_path, why, seed);
     fail(std::string("engine panic: ") + why);
   });
 
@@ -244,7 +242,7 @@ RunResult run_one(std::uint64_t seed) {
   // invariants — leave a postmortem behind for omx_postmortem.
   auto dump_postmortem = [&]() {
     if (res.ok) return;
-    if (recorder.dump_json_file(postmortem_path, res.why.c_str(), seed))
+    if (trace.dump_json_file(postmortem_path, res.why.c_str(), seed))
       std::fprintf(stderr, "postmortem: %s (pretty-print with omx_postmortem)\n",
                    postmortem_path.c_str());
   };
@@ -279,7 +277,7 @@ RunResult run_one(std::uint64_t seed) {
 
   // ----- invariant 3: exact blame partition for every span ------------
   obs::AttribReport report;
-  report.build(cluster.engine().spans(), cluster.engine().attrib());
+  report.build(cluster.engine().spans());
   if (report.sum_mismatches() != 0)
     fail(std::to_string(report.sum_mismatches()) +
          " spans with blame_sum != total_ns");

@@ -1,8 +1,8 @@
 // Tests for the obs::attrib causal latency-attribution layer: the
 // exact-partition contract (per-message blame sums equal the span
-// total), the wait-state stamp sites in cpu::Machine and
+// total), the SpanTable wait-state stamp sites in cpu::Machine and
 // dma::IoatEngine, the critical-path walker, the per-size-class report,
-// and the attribution-off-is-free contract.
+// and the stamps-off-is-free contract.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,8 +18,8 @@ using namespace openmx;
 
 namespace {
 
-sim::Time get_wait(const obs::MsgWaits* m, obs::Wait w) {
-  return m ? m->get(w) : -1;
+sim::Time get_wait(const obs::Span* s, obs::Wait w) {
+  return s ? s->waited(w) : -1;
 }
 
 // ---------------------------------------------------------------------
@@ -28,7 +28,7 @@ sim::Time get_wait(const obs::MsgWaits* m, obs::Wait w) {
 
 TEST(AttribWalker, EmptySpanBlamesNothing) {
   obs::Span s;
-  const obs::BlameVec v = obs::attribute_blame(s, nullptr);
+  const obs::BlameVec v = obs::attribute_blame(s);
   EXPECT_EQ(obs::blame_sum(v), 0);
 }
 
@@ -42,7 +42,7 @@ TEST(AttribWalker, PartitionIsExactWithoutRawStamps) {
   s.mark(obs::Phase::BottomHalf, 900);
   s.mark(obs::Phase::Notify, 900);
   s.mark(obs::Phase::Notify, 950);
-  const obs::BlameVec v = obs::attribute_blame(s, nullptr);
+  const obs::BlameVec v = obs::attribute_blame(s);
   EXPECT_EQ(obs::blame_sum(v), s.total_ns());
   EXPECT_EQ(v[static_cast<std::size_t>(obs::Blame::Wire)], 600);
   EXPECT_EQ(v[static_cast<std::size_t>(obs::Blame::BhExec)], 200);
@@ -62,13 +62,12 @@ TEST(AttribWalker, DmaTailSplitsQueueWaitFromTransfer) {
   s.mark(obs::Phase::Notify, 2000);
   s.mark(obs::Phase::Notify, 2100);
 
-  obs::MsgWaits raw;
-  raw.wait[static_cast<std::size_t>(obs::Wait::DmaDrainWait)] = 600;
-  raw.wait[static_cast<std::size_t>(obs::Wait::DmaQueueWait)] = 300;
-  raw.wait[static_cast<std::size_t>(obs::Wait::DmaTransfer)] = 900;
-  raw.wait[static_cast<std::size_t>(obs::Wait::BhExec)] = 400;
+  s.waits[static_cast<std::size_t>(obs::Wait::DmaDrainWait)] = 600;
+  s.waits[static_cast<std::size_t>(obs::Wait::DmaQueueWait)] = 300;
+  s.waits[static_cast<std::size_t>(obs::Wait::DmaTransfer)] = 900;
+  s.waits[static_cast<std::size_t>(obs::Wait::BhExec)] = 400;
 
-  const obs::BlameVec v = obs::attribute_blame(s, &raw);
+  const obs::BlameVec v = obs::attribute_blame(s);
   EXPECT_EQ(obs::blame_sum(v), s.total_ns());
   // Tail of 600 split 300:900 -> 150 queue / 450 transfer.
   EXPECT_EQ(v[static_cast<std::size_t>(obs::Blame::DmaQueueWait)], 150);
@@ -89,13 +88,12 @@ TEST(AttribWalker, HostResidualSplitsProportionally) {
   s.mark(obs::Phase::BottomHalf, 1500);
   s.mark(obs::Phase::Notify, 1500);
 
-  obs::MsgWaits raw;
-  raw.wait[static_cast<std::size_t>(obs::Wait::BhQueueWait)] = 100;
-  raw.wait[static_cast<std::size_t>(obs::Wait::BhExec)] = 100;
-  raw.wait[static_cast<std::size_t>(obs::Wait::MemcpyExec)] = 600;
-  raw.wait[static_cast<std::size_t>(obs::Wait::BusStall)] = 200;
+  s.waits[static_cast<std::size_t>(obs::Wait::BhQueueWait)] = 100;
+  s.waits[static_cast<std::size_t>(obs::Wait::BhExec)] = 100;
+  s.waits[static_cast<std::size_t>(obs::Wait::MemcpyExec)] = 600;
+  s.waits[static_cast<std::size_t>(obs::Wait::BusStall)] = 200;
 
-  const obs::BlameVec v = obs::attribute_blame(s, &raw);
+  const obs::BlameVec v = obs::attribute_blame(s);
   EXPECT_EQ(obs::blame_sum(v), s.total_ns());
   // Residual 1000 split 100:100:600:200.
   EXPECT_EQ(v[static_cast<std::size_t>(obs::Blame::BhQueueWait)], 100);
@@ -120,7 +118,7 @@ TEST(AttribWalker, CriticalBlameTieBreaksDeterministically) {
 
 TEST(AttribStamps, MachineStampsRunQueueDelay) {
   sim::Engine eng;
-  eng.attrib().enable();
+  eng.spans().enable();
   cpu::Machine m(eng);
   // Two keyed tasks on one core: the first runs immediately (zero queue
   // wait), the second waits exactly the first's cost.
@@ -129,17 +127,17 @@ TEST(AttribStamps, MachineStampsRunQueueDelay) {
   m.submit_keyed(0, cpu::Cat::BottomHalf, 222,
                  [] { return cpu::TaskResult{500, {}}; });
   eng.run();
-  EXPECT_EQ(get_wait(eng.attrib().find(111), obs::Wait::BhQueueWait), 0);
-  EXPECT_EQ(get_wait(eng.attrib().find(222), obs::Wait::BhQueueWait), 1000);
+  EXPECT_EQ(get_wait(eng.spans().find(111), obs::Wait::BhQueueWait), 0);
+  EXPECT_EQ(get_wait(eng.spans().find(222), obs::Wait::BhQueueWait), 1000);
   // Unkeyed work records nothing.
   m.submit(0, cpu::Cat::BottomHalf, [] { return cpu::TaskResult{100, {}}; });
   eng.run();
-  EXPECT_EQ(eng.attrib().size(), 2u);
+  EXPECT_EQ(eng.spans().size(), 2u);
 }
 
 TEST(AttribStamps, IoatStampsQueueWaitAndTransferSeparately) {
   sim::Engine eng;
-  eng.attrib().enable();
+  eng.spans().enable();
   dma::IoatEngine ioat(eng);
   std::uint8_t src[256] = {1}, dst[256] = {0};
   // Two descriptors on the same channel: the second queues behind the
@@ -149,14 +147,16 @@ TEST(AttribStamps, IoatStampsQueueWaitAndTransferSeparately) {
   ioat.submit(0, src + 128, dst + 128, 128, /*attrib_key=*/9);
   eng.run();
 
-  const obs::MsgWaits* a = eng.attrib().find(7);
-  const obs::MsgWaits* b = eng.attrib().find(9);
+  const obs::Span* a = eng.spans().find(7);
+  const obs::Span* b = eng.spans().find(9);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->get(obs::Wait::DmaQueueWait), 0);
-  EXPECT_GT(a->get(obs::Wait::DmaTransfer), 0);
-  EXPECT_EQ(b->get(obs::Wait::DmaQueueWait), first_done);
-  EXPECT_GT(b->get(obs::Wait::DmaTransfer), 0);
+  EXPECT_EQ(a->waited(obs::Wait::DmaQueueWait), 0);
+  EXPECT_GT(a->waited(obs::Wait::DmaTransfer), 0);
+  EXPECT_EQ(b->waited(obs::Wait::DmaQueueWait), first_done);
+  EXPECT_GT(b->waited(obs::Wait::DmaTransfer), 0);
+  // The table's per-Wait distribution saw both descriptors.
+  EXPECT_EQ(eng.spans().stamp_hist(obs::Wait::DmaTransfer).count(), 2u);
   // The per-engine queue-wait histogram saw both submissions.
   EXPECT_EQ(ioat.counters().all_histograms().at("ioat.queue_wait_ns").count(),
             2u);
@@ -170,24 +170,19 @@ TEST(AttribEndToEnd, IoatPingpongPartitionsExactly) {
   bench::Cluster cluster;
   cluster.add_nodes(2, bench::cfg_omx_ioat());
   cluster.engine().spans().enable();
-  cluster.engine().attrib().enable();
   bench::run_pingpong(cluster, 512 * sim::KiB, 2, /*warmup=*/0);
 
   const obs::SpanTable& spans = cluster.engine().spans();
-  const obs::AttribTable& attrib = cluster.engine().attrib();
   ASSERT_EQ(spans.size(), 4u);
-  ASSERT_EQ(attrib.size(), 4u);
   for (const auto& [key, s] : spans.all()) {
-    const obs::MsgWaits* raw = attrib.find(key);
-    ASSERT_NE(raw, nullptr);
     // Offload path: descriptor stamps present, no memcpy categories.
-    EXPECT_GT(raw->get(obs::Wait::DmaTransfer), 0);
-    EXPECT_GT(raw->get(obs::Wait::BhExec), 0);
-    EXPECT_GT(raw->get(obs::Wait::DmaDrainWait), 0);
-    EXPECT_EQ(raw->get(obs::Wait::MemcpyExec), 0);
-    EXPECT_EQ(raw->get(obs::Wait::BusStall), 0);
+    EXPECT_GT(s.waited(obs::Wait::DmaTransfer), 0);
+    EXPECT_GT(s.waited(obs::Wait::BhExec), 0);
+    EXPECT_GT(s.waited(obs::Wait::DmaDrainWait), 0);
+    EXPECT_EQ(s.waited(obs::Wait::MemcpyExec), 0);
+    EXPECT_EQ(s.waited(obs::Wait::BusStall), 0);
     // The acceptance contract: blame partitions the span total exactly.
-    const obs::BlameVec v = obs::attribute_blame(s, raw);
+    const obs::BlameVec v = obs::attribute_blame(s);
     EXPECT_EQ(obs::blame_sum(v), s.total_ns());
     // The DMA tail is visible as transfer blame distinct from BH time.
     EXPECT_GT(v[static_cast<std::size_t>(obs::Blame::DmaTransfer)], 0);
@@ -198,20 +193,17 @@ TEST(AttribEndToEnd, MemcpyPingpongStampsCopyCategories) {
   bench::Cluster cluster;
   cluster.add_nodes(2, bench::cfg_omx());
   cluster.engine().spans().enable();
-  cluster.engine().attrib().enable();
   bench::run_pingpong(cluster, 512 * sim::KiB, 2, /*warmup=*/0);
 
-  const obs::AttribTable& attrib = cluster.engine().attrib();
-  ASSERT_EQ(attrib.size(), 4u);
-  for (const auto& [key, raw] : attrib.all()) {
-    EXPECT_GT(raw.get(obs::Wait::MemcpyExec), 0);
+  const obs::SpanTable& spans = cluster.engine().spans();
+  ASSERT_EQ(spans.size(), 4u);
+  for (const auto& [key, s] : spans.all()) {
+    EXPECT_GT(s.waited(obs::Wait::MemcpyExec), 0);
     // Concurrent NIC DMA makes at least some fragment copies contended.
-    EXPECT_GT(raw.get(obs::Wait::BusStall), 0);
-    EXPECT_EQ(raw.get(obs::Wait::DmaQueueWait), 0);
-    EXPECT_EQ(raw.get(obs::Wait::DmaTransfer), 0);
-    const obs::Span* s = cluster.engine().spans().find(key);
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(obs::blame_sum(obs::attribute_blame(*s, &raw)), s->total_ns());
+    EXPECT_GT(s.waited(obs::Wait::BusStall), 0);
+    EXPECT_EQ(s.waited(obs::Wait::DmaQueueWait), 0);
+    EXPECT_EQ(s.waited(obs::Wait::DmaTransfer), 0);
+    EXPECT_EQ(obs::blame_sum(obs::attribute_blame(s)), s.total_ns());
   }
 }
 
@@ -225,7 +217,6 @@ TEST(AttribEndToEnd, PartitionStaysExactUnderRetransmission) {
   cfg.retrans_timeout = 40 * sim::kMicrosecond;
   cluster.add_nodes(2, cfg);
   cluster.engine().spans().enable();
-  cluster.engine().attrib().enable();
   fault::Plan plan(21);
   plan.drop_nth(fault::Match::PullReply, 3);
   plan.drop_nth(fault::Match::LargeAck, 0);
@@ -245,12 +236,11 @@ TEST(AttribEndToEnd, PartitionStaysExactUnderRetransmission) {
   const obs::SpanTable& spans = cluster.engine().spans();
   ASSERT_EQ(spans.size(), 4u);
   for (const auto& [key, s] : spans.all()) {
-    const obs::BlameVec v =
-        obs::attribute_blame(s, cluster.engine().attrib().find(key));
+    const obs::BlameVec v = obs::attribute_blame(s);
     EXPECT_EQ(obs::blame_sum(v), s.total_ns());
   }
   obs::AttribReport report;
-  report.build(spans, cluster.engine().attrib());
+  report.build(spans);
   EXPECT_EQ(report.sum_mismatches(), 0u);
 }
 
@@ -258,11 +248,10 @@ TEST(AttribReport, AggregatesAndExportsDeterministically) {
   bench::Cluster cluster;
   cluster.add_nodes(2, bench::cfg_omx_ioat());
   cluster.engine().spans().enable();
-  cluster.engine().attrib().enable();
   bench::run_pingpong(cluster, sim::MiB, 2, /*warmup=*/0);
 
   obs::AttribReport report;
-  report.build(cluster.engine().spans(), cluster.engine().attrib());
+  report.build(cluster.engine().spans());
   EXPECT_EQ(report.messages(), 4u);
   EXPECT_EQ(report.sum_mismatches(), 0u);
   ASSERT_EQ(report.classes().count(sim::MiB), 1u);
@@ -273,7 +262,7 @@ TEST(AttribReport, AggregatesAndExportsDeterministically) {
 
   obs::Registry reg;
   report.to_registry(reg);
-  cluster.engine().attrib().to_registry(reg);
+  cluster.engine().spans().to_registry(reg);
   EXPECT_EQ(reg.all_histograms().at("attrib.1MB.total_ns").count(), 4u);
   EXPECT_EQ(reg.all_histograms().at("attrib.1MB.wire_ns").count(), 4u);
   EXPECT_EQ(reg.get("attrib.1MB.critical.wire"), 4u);
@@ -283,13 +272,12 @@ TEST(AttribReport, AggregatesAndExportsDeterministically) {
   bench::Cluster c2;
   c2.add_nodes(2, bench::cfg_omx_ioat());
   c2.engine().spans().enable();
-  c2.engine().attrib().enable();
   bench::run_pingpong(c2, sim::MiB, 2, /*warmup=*/0);
   obs::AttribReport r2;
-  r2.build(c2.engine().spans(), c2.engine().attrib());
+  r2.build(c2.engine().spans());
   obs::Registry reg2;
   r2.to_registry(reg2);
-  c2.engine().attrib().to_registry(reg2);
+  c2.engine().spans().to_registry(reg2);
   auto dump = [](const obs::Registry& r) {
     std::FILE* f = std::tmpfile();
     r.dump_json(f);
@@ -304,29 +292,36 @@ TEST(AttribReport, AggregatesAndExportsDeterministically) {
 }
 
 // ---------------------------------------------------------------------
-// Attribution off is free
+// Wait stamps off are free
 // ---------------------------------------------------------------------
 
-TEST(AttribTable, DisabledIsInert) {
-  obs::AttribTable t;
+TEST(SpanTable, DisabledWaitStampsAreInert) {
+  obs::SpanTable t;
   t.begin(obs::span_key(0, 1), 0, 4096);
   t.add(obs::span_key(0, 1), obs::Wait::BhExec, 100);
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.find(obs::span_key(0, 1)), nullptr);
   EXPECT_EQ(t.stamp_hist(obs::Wait::BhExec).count(), 0u);
+  obs::Registry reg;
+  t.to_registry(reg);
+  EXPECT_TRUE(reg.all_histograms().empty());
 }
 
-TEST(AttribTable, OffAddsNoEventsAndOnDoesNotChangeTiming) {
-  // Attribution is bookkeeping only: with it off nothing is recorded
-  // and with it on the simulated timing is bit-identical.
+TEST(SpanTable, OffAddsNoEventsAndOnDoesNotChangeTiming) {
+  // Spans and their wait stamps are bookkeeping only: with the table off
+  // nothing is recorded and with it on the simulated timing is
+  // bit-identical.
   auto run = [](bool on, std::uint64_t* events_out) {
     bench::Cluster cluster;
     cluster.add_nodes(2, bench::cfg_omx_ioat());
-    if (on) cluster.engine().attrib().enable();
+    if (on) cluster.engine().spans().enable();
     const sim::Time t = bench::run_pingpong(cluster, sim::MiB, 2,
                                             /*warmup=*/1);
-    if (!on) {
-      EXPECT_EQ(cluster.engine().attrib().size(), 0u);
+    if (on) {
+      EXPECT_GT(cluster.engine().spans().stamp_hist(obs::Wait::BhExec).count(),
+                0u);
+    } else {
+      EXPECT_EQ(cluster.engine().spans().size(), 0u);
     }
     if (events_out) *events_out = cluster.engine().events_scheduled();
     return t;

@@ -11,14 +11,12 @@
 
 #include "bench/common.hpp"
 #include "core/cluster.hpp"
-#include "obs/flight.hpp"
 #include "obs/monitor.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "obs/timeline.hpp"
 #include "sim/sweep.hpp"
-#include "sim/trace.hpp"
 
 using namespace openmx;
 
@@ -493,6 +491,14 @@ TEST(Perfetto, GoldenFormat) {
   spans.mark(key, obs::Phase::IoatSubmit, 1500);
   spans.mark(key, obs::Phase::DmaComplete, 4000);
   spans.mark(key, obs::Phase::Notify, 4200);
+  // Wait stamps pin the blame slice: the 500 ns drain wait splits 1:4
+  // between ring queueing and transfer, and the remaining 2700 ns of host
+  // residual 1:2 between bottom-half queueing and execution.
+  spans.add(key, obs::Wait::DmaDrainWait, 500);
+  spans.add(key, obs::Wait::DmaQueueWait, 200);
+  spans.add(key, obs::Wait::DmaTransfer, 800);
+  spans.add(key, obs::Wait::BhQueueWait, 100);
+  spans.add(key, obs::Wait::BhExec, 200);
 
   const std::string got = render([&](std::FILE* f) {
     obs::write_chrome_trace(f, tl, spans, /*num_nodes=*/1);
@@ -536,7 +542,6 @@ TEST(Telemetry, EnablingEverythingDoesNotChangeSimTime) {
       cluster.engine().trace().enable();
       cluster.engine().spans().enable();
       cluster.engine().timeline().enable();
-      cluster.engine().attrib().enable();
     }
     return bench::run_pingpong(cluster, sim::MiB, 2, /*warmup=*/1);
   };
@@ -643,98 +648,6 @@ TEST(Registry, LpShardMergeInLpOrderIsByteStable) {
   EXPECT_EQ(fold(), once);
   EXPECT_NE(once.find("lp.3.events"), std::string::npos);
   EXPECT_NE(once.find("lp.max_inbox_depth"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Flight recorder: always-on postmortem ring
-// ---------------------------------------------------------------------
-
-TEST(FlightRecorder, RingKeepsChronologicalTail) {
-  obs::FlightRecorder fr(1, 256);
-  ASSERT_EQ(fr.per_shard_capacity(), 256u);
-  for (std::uint64_t i = 0; i < 300; ++i) {
-    obs::TraceEvent e;
-    e.when = static_cast<sim::Time>(i);
-    e.a0 = i;
-    fr.record(0, e);
-  }
-  EXPECT_EQ(fr.recorded(0), 300u);
-  const auto tail = fr.tail(0);
-  ASSERT_EQ(tail.size(), 256u);  // oldest 44 overwritten
-  EXPECT_EQ(tail.front().a0, 44u);
-  EXPECT_EQ(tail.back().a0, 299u);
-  for (std::size_t i = 1; i < tail.size(); ++i)
-    EXPECT_EQ(tail[i].a0, tail[i - 1].a0 + 1);
-}
-
-// The whole point of the recorder: it captures the typed event stream
-// even while the sim::Trace itself is disabled, and the trace buffer
-// stays empty (recording adds no opt-in telemetry).
-TEST(FlightRecorder, CapturesEventsWhileTraceDisabled) {
-  sim::Trace trace;
-  obs::FlightRecorder fr(1, 64);
-  trace.attach_flight(&fr, 0);
-  ASSERT_FALSE(trace.enabled());
-
-  const obs::EventId id = trace.intern_event("wire.tx");
-  trace.event(1000, 0, id, /*a0=*/7, /*a1=*/4096);
-  trace.record(2000, 1, "pull.start", "handle=7");
-
-  EXPECT_EQ(trace.size(), 0u);  // disabled trace stored nothing
-  EXPECT_EQ(fr.recorded(0), 2u);
-  const auto tail = fr.tail(0);
-  ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].when, 1000);
-  EXPECT_EQ(tail[0].a0, 7u);
-  EXPECT_EQ(tail[1].when, 2000);
-
-  trace.attach_flight(nullptr);  // detach: back to one-branch disabled path
-  trace.event(3000, 0, id);
-  EXPECT_EQ(fr.recorded(0), 2u);
-}
-
-// The dump format is a contract with omx_postmortem: header first, then
-// one sscanf-parseable instant event per line.
-TEST(FlightRecorder, DumpFormatRoundTrips) {
-  sim::Trace trace;
-  obs::FlightRecorder fr(1, 64);
-  trace.attach_flight(&fr, 0);
-  const obs::EventId id = trace.intern_event("pull.start");
-  trace.event(1500, 2, id, 9, 65536);
-
-  const std::string dump = render(
-      [&](std::FILE* f) { fr.dump_json(f, "pull retries exhausted handle=9",
-                                       /*seed=*/1234); });
-
-  char reason[128];
-  unsigned long long seed = 0;
-  ASSERT_EQ(std::sscanf(dump.c_str(),
-                        "{\"postmortem\":{\"reason\":\"%127[^\"]\","
-                        "\"seed\":%llu",
-                        reason, &seed),
-            2);
-  EXPECT_STREQ(reason, "pull retries exhausted handle=9");
-  EXPECT_EQ(seed, 1234u);
-
-  const std::size_t pos = dump.find("{\"name\":\"pull.start\"");
-  ASSERT_NE(pos, std::string::npos);
-  char name[64], cat[32];
-  unsigned pid = 0;
-  int tid = 0, node = -1;
-  double ts = 0;
-  unsigned long long a0 = 0, a1 = 0;
-  ASSERT_EQ(std::sscanf(dump.c_str() + pos,
-                        "{\"name\":\"%63[^\"]\",\"cat\":\"%31[^\"]\","
-                        "\"ph\":\"i\",\"s\":\"t\",\"pid\":%u,\"tid\":%d,"
-                        "\"ts\":%lf,\"args\":{\"node\":%d,\"a0\":%llu,"
-                        "\"a1\":%llu",
-                        name, cat, &pid, &tid, &ts, &node, &a0, &a1),
-            8);
-  EXPECT_EQ(node, 2);
-  EXPECT_EQ(a0, 9u);
-  EXPECT_EQ(a1, 65536u);
-  EXPECT_DOUBLE_EQ(ts, 1.5);  // microseconds
-  EXPECT_NE(dump.find("\"displayTimeUnit\":\"ns\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

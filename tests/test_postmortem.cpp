@@ -1,7 +1,7 @@
 // End-to-end postmortem path: a scripted fault plan drives a rendezvous
 // pull to retry exhaustion, the driver's fatal path fires
-// Engine::on_panic, the always-on flight recorder dumps, and the dump's
-// tail maps back to the faulting message — the acceptance loop behind
+// Engine::on_panic, the postmortem trace ring dumps, and the dump's tail
+// maps back to the faulting message — the acceptance loop behind
 // examples/omx_postmortem, pinned as a tier-1 test.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include "core/endpoint.hpp"
 #include "fault/fault.hpp"
 #include "mem/aligned_buffer.hpp"
-#include "obs/flight.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
 namespace sim = openmx::sim;
@@ -31,15 +31,14 @@ struct ForcedFailure {
   int panics = 0;
   bool recv_failed = false;
   bool send_failed = false;
-  obs::FlightRecorder recorder{1, 256};
+  std::vector<obs::TraceEvent> tail;  // the trace ring, copied at panic
 };
 
 /// Kills every PullReply so the receiver's pull burns its retry budget;
-/// fills `out` with what the panic hook and the endpoints observed.
-/// (Out-parameter because the recorder ring is non-copyable.)  When
-/// `dump_path` is set, the panic hook dumps the recorder there — dumping
-/// must happen while the cluster is alive, since the recorder renders
-/// event names through the Trace's interners.
+/// fills `out` with what the panic hook and the endpoints observed.  The
+/// ring belongs to the cluster's engine, so the panic hook copies its
+/// tail and, when `dump_path` is set, dumps it there while the cluster
+/// is alive.
 void force_pull_exhaustion(ForcedFailure& out,
                            const std::string& dump_path = {}) {
   core::OmxConfig cfg;
@@ -49,12 +48,13 @@ void force_pull_exhaustion(ForcedFailure& out,
 
   core::Cluster cluster;
   cluster.add_nodes(2, cfg);
-  cluster.engine().trace().attach_flight(&out.recorder, 0);
+  sim::Trace& trace = cluster.engine().trace();
+  trace.enable(256);
   cluster.engine().set_on_panic([&](const char* why) {
     out.reason = why;
     ++out.panics;
-    if (!dump_path.empty())
-      out.recorder.dump_json_file(dump_path, why, /*seed=*/99);
+    out.tail = trace.tail();
+    if (!dump_path.empty()) trace.dump_json_file(dump_path, why, /*seed=*/99);
   });
 
   fault::Plan plan(7);
@@ -96,11 +96,11 @@ TEST(Postmortem, RecorderTailMapsToFaultingMessage) {
   ASSERT_EQ(std::sscanf(f.reason.c_str() + f.reason.find("handle="),
                         "handle=%llu", &handle),
             1);
-  // ...and find it in the recorded tail: the pull.start event carries
-  // (handle, len) as a0/a1, captured with the trace disabled.
-  ASSERT_GT(f.recorder.recorded(0), 0u);
+  // ...and find it in the ring's tail: the pull.start event carries
+  // (handle, len) as a0/a1.
+  ASSERT_FALSE(f.tail.empty());
   bool mapped = false;
-  for (const obs::TraceEvent& e : f.recorder.tail(0))
+  for (const obs::TraceEvent& e : f.tail)
     if (e.cat == obs::Cat::Pull && e.a0 == handle) mapped = true;
   EXPECT_TRUE(mapped) << "no pull event with a0=" << handle
                       << " in the recorded tail";

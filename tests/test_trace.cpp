@@ -1,6 +1,8 @@
-// Tests for the event-trace subsystem and its driver integration.
+// Tests for the event-trace ring and its driver integration.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -11,139 +13,179 @@ namespace sim = openmx::sim;
 namespace core = openmx::core;
 namespace obs = openmx::obs;
 
+namespace {
+
+/// Renders `fn(FILE*)` into a string via a tmpfile.
+template <typename Fn>
+std::string render(Fn&& fn) {
+  std::FILE* f = std::tmpfile();
+  EXPECT_NE(f, nullptr);
+  fn(f);
+  const long len = (std::fseek(f, 0, SEEK_END), std::ftell(f));
+  std::rewind(f);
+  std::string out(static_cast<std::size_t>(len), '\0');
+  EXPECT_EQ(std::fread(out.data(), 1, out.size(), f), out.size());
+  std::fclose(f);
+  return out;
+}
+
+/// Number of retained events interned under `name`.
+std::size_t count(sim::Trace& t, const char* name) {
+  const obs::EventId id = t.intern_event(name);
+  std::size_t n = 0;
+  for (const obs::TraceEvent& e : t.tail()) n += e.id == id.id;
+  return n;
+}
+
+}  // namespace
+
 TEST(Trace, DisabledRecordsNothing) {
   sim::Trace t;
-  t.record(1, 0, "x", "y");
+  EXPECT_FALSE(t.enabled());
+  t.event(1, 0, t.intern_event("x"), 7);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_TRUE(t.tail().empty());
+
+  // Capacity 0 is "off", whatever was enabled before.
+  t.enable(4);
+  t.event(2, 0, t.intern_event("x"));
+  t.enable(0);
+  EXPECT_FALSE(t.enabled());
+  t.event(3, 0, t.intern_event("x"));
   EXPECT_EQ(t.size(), 0u);
 }
 
 TEST(Trace, RecordsInOrder) {
   sim::Trace t;
   t.enable();
-  t.record(10, 0, "a", "first");
-  t.record(20, 1, "b", "second");
-  const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].message, "first");
-  EXPECT_EQ(snap[1].when, 20);
-  EXPECT_EQ(snap[1].node, 1);
+  EXPECT_EQ(t.capacity(), sim::Trace::kFullCapacity);
+  const obs::EventId a = t.intern_event("wire.tx");
+  const obs::EventId b = t.intern_event("pull.start");
+  t.event(10, 0, a, 1);
+  t.event(20, 1, b, 2, 3);
+  const auto tail = t.tail();
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].when, 10);
+  EXPECT_EQ(tail[0].a0, 1u);
+  EXPECT_EQ(tail[1].when, 20);
+  EXPECT_EQ(tail[1].node, 1);
+  EXPECT_EQ(tail[1].a1, 3u);
 }
 
-TEST(Trace, RingDropsOldest) {
-  sim::Trace t(4);
-  t.enable();
-  for (int i = 0; i < 10; ++i)
-    t.record(i, 0, "c", std::to_string(i));
-  EXPECT_EQ(t.size(), 4u);
-  EXPECT_EQ(t.dropped(), 6u);
-  const auto snap = t.snapshot();
-  EXPECT_EQ(snap.front().message, "6");
-  EXPECT_EQ(snap.back().message, "9");
-}
-
-TEST(Trace, FilterByCategoryPrefix) {
-  sim::Trace t;
-  t.enable();
-  t.set_filter("wire");
-  t.record(1, 0, "wire.tx", "kept");
-  t.record(2, 0, "pull.start", "dropped");
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.count("wire"), 1u);
-}
-
-TEST(Trace, LazyMessageNotBuiltWhenDisabled) {
-  sim::Trace t;
-  int built = 0;
-  auto lazy = [&] {
-    ++built;
-    return std::string("expensive");
-  };
-  t.record(1, 0, "a", lazy);  // disabled: callable must not run
-  EXPECT_EQ(built, 0);
-  EXPECT_EQ(t.size(), 0u);
-
-  t.enable();
-  t.set_filter("wire");
-  t.record(2, 0, "pull.start", lazy);  // filtered out: still not run
-  EXPECT_EQ(built, 0);
-  t.record(3, 0, "wire.tx", lazy);  // stored: built exactly once
-  EXPECT_EQ(built, 1);
-  const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].message, "expensive");
-}
-
-TEST(Trace, TypedEventsReconstructCategoryAndArgs) {
+TEST(Trace, TypedEventsCarryIdCategoryAndArgs) {
   sim::Trace t;
   t.enable();
   const obs::EventId id = t.intern_event("pull.done");
+  // Interning is idempotent: a second call hands out the same id.
+  EXPECT_EQ(t.intern_event("pull.done").id, id.id);
+  EXPECT_EQ(id.cat, obs::Cat::Pull);
   t.event(5, 2, id, 123, 456);
   t.event(6, 2, id, 789);
-  const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].category, "pull.done");
-  EXPECT_EQ(snap[0].message, "a0=123 a1=456");
-  EXPECT_EQ(snap[1].message, "a0=789");
-  EXPECT_EQ(snap[1].node, 2);
+  const auto tail = t.tail();
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].id, id.id);
+  EXPECT_EQ(tail[0].cat, obs::Cat::Pull);
+  EXPECT_EQ(tail[0].a0, 123u);
+  EXPECT_EQ(tail[0].a1, 456u);
+  EXPECT_EQ(tail[1].a0, 789u);
+  EXPECT_EQ(tail[1].a1, 0u);
+  EXPECT_EQ(tail[1].node, 2);
+
+  // The human-readable dump names the event and prints only the
+  // arguments that were set.
+  const std::string dump = render([&](std::FILE* f) { t.dump(f); });
+  EXPECT_NE(dump.find("n2  pull.done  a0=123 a1=456\n"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("n2  pull.done  a0=789\n"), std::string::npos) << dump;
 }
 
-TEST(Trace, TypedEventsHonourFilter) {
+TEST(Trace, RingDropsOldest) {
   sim::Trace t;
-  t.enable();
-  t.set_filter("wire");
-  const obs::EventId wire = t.intern_event("wire.tx");
-  const obs::EventId pull = t.intern_event("pull.start");
-  t.event(1, 0, wire, 1);
-  t.event(2, 0, pull, 2);
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.count("wire"), 1u);
+  t.enable(4);
+  const obs::EventId id = t.intern_event("c");
+  for (int i = 0; i < 10; ++i) t.event(i, 0, id, static_cast<std::uint64_t>(i));
+  EXPECT_EQ(t.size(), 4u);
+  EXPECT_EQ(t.dropped(), 6u);
+  const auto tail = t.tail();
+  ASSERT_EQ(tail.size(), 4u);
+  EXPECT_EQ(tail.front().a0, 6u);
+  EXPECT_EQ(tail.back().a0, 9u);
 }
 
-TEST(Trace, TracefMacroDoesNotEvaluateArgsWhenDisabled) {
+// A postmortem-sized ring keeps exactly the newest `capacity` events,
+// oldest first, however far it has wrapped.
+TEST(Trace, RingKeepsChronologicalTail) {
   sim::Trace t;
-  int evals = 0;
-  auto expensive = [&] {
-    ++evals;
-    return 42;
-  };
-  OMX_TRACEF(t, 1, 0, "a", "v=%d", expensive());
-  EXPECT_EQ(evals, 0);
-  EXPECT_EQ(t.size(), 0u);
-
-  t.enable();
-  OMX_TRACEF(t, 2, 0, "a", "v=%d", expensive());
-  EXPECT_EQ(evals, 1);
-  const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].message, "v=42");
-}
-
-TEST(Trace, RecordfFormats) {
-  sim::Trace t;
-  t.enable();
-  t.recordf(1, 0, "chunk", "bytes=%zu chan=%d", std::size_t{4096}, 3);
-  const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].message, "bytes=4096 chan=3");
-}
-
-TEST(Trace, InternedMessagesDedup) {
-  // The same message string recorded many times is stored once in the
-  // interner; records stay exact across the ring.
-  sim::Trace t(8);
-  t.enable();
-  for (int i = 0; i < 20; ++i) t.record(i, 0, "c", "same message");
-  EXPECT_EQ(t.size(), 8u);
-  EXPECT_EQ(t.dropped(), 12u);
-  for (const auto& r : t.snapshot()) EXPECT_EQ(r.message, "same message");
+  t.enable(256);
+  const obs::EventId id = t.intern_event("wire.tx");
+  for (std::uint64_t i = 0; i < 300; ++i)
+    t.event(static_cast<sim::Time>(i), 0, id, i);
+  EXPECT_EQ(t.size() + t.dropped(), 300u);
+  const auto tail = t.tail();
+  ASSERT_EQ(tail.size(), 256u);  // oldest 44 overwritten
+  EXPECT_EQ(tail.front().a0, 44u);
+  EXPECT_EQ(tail.back().a0, 299u);
+  for (std::size_t i = 1; i < tail.size(); ++i)
+    EXPECT_EQ(tail[i].a0, tail[i - 1].a0 + 1);
 }
 
 TEST(Trace, ClearResets) {
   sim::Trace t;
-  t.enable();
-  t.record(1, 0, "a", "x");
+  t.enable(2);
+  const obs::EventId id = t.intern_event("a");
+  for (int i = 0; i < 3; ++i) t.event(i, 0, id);
+  ASSERT_EQ(t.dropped(), 1u);
   t.clear();
   EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.dropped(), 0u);
+  EXPECT_TRUE(t.enabled());  // clearing keeps the capacity
+  t.event(9, 0, id, 5);
+  ASSERT_EQ(t.tail().size(), 1u);
+  EXPECT_EQ(t.tail()[0].a0, 5u);
+}
+
+// The dump format is a contract with omx_postmortem: header first, then
+// one sscanf-parseable instant event per line.
+TEST(Trace, DumpFormatRoundTrips) {
+  sim::Trace t;
+  t.enable(64);
+  const obs::EventId id = t.intern_event("pull.start");
+  t.event(1500, 2, id, 9, 65536);
+
+  const std::string dump = render([&](std::FILE* f) {
+    t.dump_json(f, "pull retries exhausted handle=9", /*seed=*/1234);
+  });
+
+  char reason[128];
+  unsigned long long seed = 0;
+  ASSERT_EQ(std::sscanf(dump.c_str(),
+                        "{\"postmortem\":{\"reason\":\"%127[^\"]\","
+                        "\"seed\":%llu",
+                        reason, &seed),
+            2);
+  EXPECT_STREQ(reason, "pull retries exhausted handle=9");
+  EXPECT_EQ(seed, 1234u);
+
+  const std::size_t pos = dump.find("\n{\"name\":\"pull.start\"");
+  ASSERT_NE(pos, std::string::npos);
+  char name[64], cat[32];
+  unsigned pid = 0;
+  int tid = 0, node = -1;
+  double ts = 0;
+  unsigned long long a0 = 0, a1 = 0;
+  ASSERT_EQ(std::sscanf(dump.c_str() + pos + 1,
+                        "{\"name\":\"%63[^\"]\",\"cat\":\"%31[^\"]\","
+                        "\"ph\":\"i\",\"s\":\"t\",\"pid\":%u,\"tid\":%d,"
+                        "\"ts\":%lf,\"args\":{\"node\":%d,\"a0\":%llu,"
+                        "\"a1\":%llu",
+                        name, cat, &pid, &tid, &ts, &node, &a0, &a1),
+            8);
+  EXPECT_STREQ(cat, "pull");
+  EXPECT_EQ(node, 2);
+  EXPECT_EQ(a0, 9u);
+  EXPECT_EQ(a1, 65536u);
+  EXPECT_DOUBLE_EQ(ts, 1.5);  // microseconds
+  EXPECT_NE(dump.find("\"displayTimeUnit\":\"ns\""), std::string::npos);
 }
 
 TEST(TraceIntegration, DriverEmitsWireAndPullRecords) {
@@ -168,15 +210,17 @@ TEST(TraceIntegration, DriverEmitsWireAndPullRecords) {
 
   auto& tr = cluster.engine().trace();
   // rndv + 8 pull reqs + 64 replies + acks all traced.
-  EXPECT_EQ(tr.count("pull.start"), 1u);
-  EXPECT_EQ(tr.count("pull.done"), 1u);
-  EXPECT_GE(tr.count("wire.tx"), 74u);
+  EXPECT_EQ(count(tr, "pull.start"), 1u);
+  EXPECT_EQ(count(tr, "pull.done"), 1u);
+  EXPECT_GE(count(tr, "wire.tx"), 74u);
 
   // The pull lifecycle is ordered: start strictly before done.
+  const std::uint16_t start_id = tr.intern_event("pull.start").id;
+  const std::uint16_t done_id = tr.intern_event("pull.done").id;
   sim::Time started = -1, done = -1;
-  for (const auto& r : tr.snapshot()) {
-    if (r.category == "pull.start") started = r.when;
-    if (r.category == "pull.done") done = r.when;
+  for (const obs::TraceEvent& e : tr.tail()) {
+    if (e.id == start_id) started = e.when;
+    if (e.id == done_id) done = e.when;
   }
   EXPECT_GE(started, 0);
   EXPECT_GT(done, started);

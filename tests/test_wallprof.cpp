@@ -35,8 +35,6 @@ void spin_ns(std::uint64_t ns) {
 class WallProfTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!obs::WallProfiler::compiled_in())
-      GTEST_SKIP() << "built with ENABLE_WALLPROF=OFF";
     prof().set_enabled(true);
     prof().reset();
   }

@@ -1,9 +1,11 @@
-// Background-traffic scaling of the fluid network model (ROADMAP item 3
-// / hybrid-fidelity tentpole): sweeps the number of background endpoints
-// to 131072 while measuring wall-clock solver throughput, and shows the
-// per-event cost is independent of transfer size — the O(active flows),
-// not O(frames), property the flow model exists for.  Finishes with the
-// cross-validation table against the exact packet engine.
+// Background-traffic scaling of the fluid network model: sweeps the
+// number of background endpoints to 131072 while measuring wall-clock
+// solver throughput, and shows the per-event cost is independent of
+// transfer size — the O(active flows), not O(frames), property the flow
+// model exists for.  Finishes with the cross-validation table against the
+// exact packet engine.  Exits 1 if the event count moves with transfer
+// size or if any endpoint-count point's solver visits per flow exceed
+// kMaxVisitsPerFlow.
 //
 //   bench_flow_scale          full sweep (~131k endpoints)
 //   bench_flow_scale --smoke  CI-sized subset, same checks (tier-1)
@@ -17,12 +19,16 @@
 #include "common.hpp"
 #include "flow_xval.hpp"
 #include "net/flow.hpp"
-#include "obs/monitor.hpp"
 
 using namespace openmx;
 using namespace openmx::bench;
 
 namespace {
+
+// Incremental re-solve visits about one flow per start/finish on the
+// disjoint-pair workload (the sweep reads 1.00); 8 marks a collapse to
+// re-solving whole components, not noise.
+constexpr double kMaxVisitsPerFlow = 8.0;
 
 struct ScalePoint {
   int endpoints = 0;
@@ -32,8 +38,6 @@ struct ScalePoint {
   double visits_per_flow = 0;        // solver flow-visits / completed flow
   double wall_ms = 0;
   double flows_per_sec = 0;
-  std::size_t monitor_samples = 0;   // live-monitor snapshots taken
-  std::size_t slo_breaches = 0;      // watchdogs that fired during the run
 };
 
 /// Disjoint background pairs (2i -> 2i+1), each restarting its transfer
@@ -42,24 +46,6 @@ ScalePoint run_scale_point(int endpoints, std::size_t bytes, int rounds) {
   sim::Engine eng;
   net::FlowNetwork flow(eng, flow_params_like());
   flow.ensure_endpoints(static_cast<std::size_t>(endpoints));
-
-  // Live monitor, polled at each flow completion: the solver-efficiency
-  // watchdog fires (once) if incremental re-solve stops being
-  // O(component).  Visits are normalized by *started* flows — every
-  // start charges at least one visit, so the ratio sits near 1 on this
-  // disjoint-pair workload from the very first sample (completed flows
-  // would read 512 while the batch drains); 8 marks a collapse, not
-  // noise.
-  obs::Monitor monitor(flow.counters(), sim::kMillisecond);
-  monitor.watch("flow.completed");
-  monitor.watch("flow.solver_visits");
-  monitor.add_slo("flow.visits_per_flow", 8.0, [](const obs::Registry& r) {
-    const double started = static_cast<double>(r.get("flow.started"));
-    return started > 0
-               ? static_cast<double>(r.get("flow.solver_visits")) / started
-               : 0.0;
-  });
-  flow.set_monitor(&monitor);
 
   std::function<void(int, int)> start = [&](int pair, int left) {
     flow.transfer(2 * pair, 2 * pair + 1, bytes,
@@ -85,8 +71,6 @@ ScalePoint run_scale_point(int endpoints, std::size_t bytes, int rounds) {
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   sp.flows_per_sec =
       sp.wall_ms > 0 ? 1000.0 * static_cast<double>(sp.flows) / sp.wall_ms : 0;
-  sp.monitor_samples = monitor.samples_taken();
-  sp.slo_breaches = monitor.breaches();
   return sp;
 }
 
@@ -103,24 +87,21 @@ int main(int argc, char** argv) {
   const int rounds = 4;
   std::printf("=== background endpoint sweep (1 MiB flows, %d rounds) ===\n",
               rounds);
-  std::printf("%10s %10s %12s %14s %12s %9s %8s\n", "endpoints", "flows",
-              "visits/flow", "flows/sec", "wall ms", "samples", "breach");
-  std::size_t total_breaches = 0;
+  std::printf("%10s %10s %12s %14s %12s\n", "endpoints", "flows",
+              "visits/flow", "flows/sec", "wall ms");
+  bool solver_bounded = true;
   for (int n : endpoint_counts) {
     const ScalePoint sp = run_scale_point(n, sim::MiB, rounds);
-    std::printf("%10d %10llu %12.2f %14.0f %12.1f %9zu %8zu\n", sp.endpoints,
+    std::printf("%10d %10llu %12.2f %14.0f %12.1f\n", sp.endpoints,
                 static_cast<unsigned long long>(sp.flows), sp.visits_per_flow,
-                sp.flows_per_sec, sp.wall_ms, sp.monitor_samples,
-                sp.slo_breaches);
-    total_breaches += sp.slo_breaches;
+                sp.flows_per_sec, sp.wall_ms);
+    if (sp.visits_per_flow > kMaxVisitsPerFlow) solver_bounded = false;
     const std::string tag = "flow_scale.n" + std::to_string(n);
     metrics.add(tag + ".flows", sp.flows);
     metrics.add(tag + ".sim_events", sp.sim_events);
     metrics.add(tag + ".visits_per_flow_x1000",
                 static_cast<std::uint64_t>(1000.0 * sp.visits_per_flow));
-    metrics.add(tag + ".monitor_samples", sp.monitor_samples);
   }
-  metrics.add("flow_scale.slo_breaches", total_breaches);
   metrics.add("flow_scale.max_endpoints",
               static_cast<std::uint64_t>(endpoint_counts.back()));
 
@@ -164,6 +145,12 @@ int main(int argc, char** argv) {
                 static_cast<std::uint64_t>(1000.0 * ratio));
   }
 
+  if (!solver_bounded) {
+    std::fprintf(stderr, "bench_flow_scale: solver visits per flow above "
+                         "%g — incremental re-solve collapsed\n",
+                 kMaxVisitsPerFlow);
+    return 1;
+  }
   if (!size_independent) {
     std::fprintf(stderr, "bench_flow_scale: event count varies with "
                          "transfer size — fluid model regressed to "

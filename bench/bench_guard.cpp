@@ -215,7 +215,7 @@ std::vector<Metric> compute_metrics() {
     m.push_back({"obs.wallprof_overhead", ratio, 0.10});
   }
 
-  // Hybrid-fidelity cross-validation: the fluid FlowNetwork against the
+  // Flow-model cross-validation: the fluid FlowNetwork against the
   // exact packet engine on the same ping-pong curves.  Both sides are
   // deterministic simulations, so these ratios are machine-independent
   // and the bands can be tight; a committed value near 1.0 is the

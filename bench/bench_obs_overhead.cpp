@@ -1,12 +1,11 @@
 // Telemetry overhead check: runs the same ping-pong workload with all
 // telemetry off, with every opt-in obs subsystem on (full trace ring,
 // spans with their wait-state stamps, utilization timeline; counters are
-// always on), with only the 256-event postmortem trace ring, and with
-// only the live run monitor polling — and reports the wall-clock cost of
-// each.  The contracts are that telemetry-off throughput stays within
-// 2 % of the pre-telemetry baseline, and that the postmortem ring costs
-// < 3 % on the Fig. 8 ping-pong path (pinned by the obs.recorder_overhead
-// guard row).
+// always on), and with only the 256-event postmortem trace ring — and
+// reports the wall-clock cost of each.  The contracts are that
+// telemetry-off throughput stays within 2 % of the pre-telemetry
+// baseline, and that the postmortem ring costs < 3 % on the Fig. 8
+// ping-pong path (pinned by the obs.recorder_overhead guard row).
 #include <chrono>
 #include <cstdio>
 
@@ -17,7 +16,7 @@ using namespace openmx::bench;
 
 namespace {
 
-enum class Mode { kOff, kAll, kRecorder, kMonitor };
+enum class Mode { kOff, kAll, kRecorder };
 
 struct Sample {
   double wall_ms = 0;
@@ -36,9 +35,6 @@ Sample run(Mode mode, int reps) {
   auto run_once = [&](std::size_t len, int n) {
     Cluster cluster;
     cluster.add_nodes(2, cfg_omx_ioat());
-    obs::Monitor monitor(cluster.network().counters(),
-                         100 * sim::kMicrosecond);
-    obs::Monitor* poll = nullptr;
     switch (mode) {
       case Mode::kOff:
         break;
@@ -50,12 +46,8 @@ Sample run(Mode mode, int reps) {
       case Mode::kRecorder:
         cluster.engine().trace().enable(256);
         break;
-      case Mode::kMonitor:
-        monitor.watch("net.tx_frames");
-        poll = &monitor;
-        break;
     }
-    run_pingpong(cluster, len, n, 1, poll);
+    run_pingpong(cluster, len, n, 1);
     msgs += 2 * n;
   };
 
@@ -84,7 +76,6 @@ int main() {
   const Sample off = run(Mode::kOff, reps);
   const Sample on = run(Mode::kAll, reps);
   const Sample rec = run(Mode::kRecorder, reps);
-  const Sample mon = run(Mode::kMonitor, reps);
 
   std::printf("=== telemetry overhead (ping-pong 4kB + 1MB, %d reps) ===\n",
               reps);
@@ -94,8 +85,6 @@ int main() {
               on.wall_ms, on.msgs_per_sec, pct_over(off, on));
   std::printf("recorder only:  %8.1f ms  %8.0f msgs/s  (%.1f%% overhead)\n",
               rec.wall_ms, rec.msgs_per_sec, pct_over(off, rec));
-  std::printf("monitor only:   %8.1f ms  %8.0f msgs/s  (%.1f%% overhead)\n",
-              mon.wall_ms, mon.msgs_per_sec, pct_over(off, mon));
 
   const std::string out = openmx::bench::out_path("BENCH_obs_overhead.json");
   if (std::FILE* f = std::fopen(out.c_str(), "w")) {
@@ -107,15 +96,12 @@ int main() {
                  "%.0f},\n"
                  "  \"recorder_only\": {\"wall_ms\": %.1f, \"msgs_per_sec\": "
                  "%.0f},\n"
-                 "  \"monitor_only\": {\"wall_ms\": %.1f, \"msgs_per_sec\": "
-                 "%.0f},\n"
                  "  \"overhead_pct\": %.1f,\n"
-                 "  \"recorder_overhead_pct\": %.1f,\n"
-                 "  \"monitor_overhead_pct\": %.1f\n"
+                 "  \"recorder_overhead_pct\": %.1f\n"
                  "}\n",
                  off.wall_ms, off.msgs_per_sec, on.wall_ms, on.msgs_per_sec,
-                 rec.wall_ms, rec.msgs_per_sec, mon.wall_ms, mon.msgs_per_sec,
-                 pct_over(off, on), pct_over(off, rec), pct_over(off, mon));
+                 rec.wall_ms, rec.msgs_per_sec, pct_over(off, on),
+                 pct_over(off, rec));
     std::fclose(f);
     std::printf("written to %s\n", out.c_str());
   }

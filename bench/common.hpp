@@ -15,7 +15,6 @@
 #include "core/endpoint.hpp"
 #include "mem/aligned_buffer.hpp"
 #include "obs/attrib.hpp"
-#include "obs/monitor.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -104,10 +103,9 @@ inline void emit_metrics_json(const std::string& bench_name,
 }
 
 /// The ping-pong loop itself, on a caller-prepared cluster (so callers can
-/// enable telemetry on the engine first).  Returns one-way time.  An
-/// optional live monitor is polled from the event loop.
+/// enable telemetry on the engine first).  Returns one-way time.
 inline Time run_pingpong(Cluster& cluster, std::size_t len, int iters,
-                         int warmup, obs::Monitor* monitor = nullptr) {
+                         int warmup) {
   mem::Buffer buf0(len ? len : 1, 1), buf1(len ? len : 1, 2);
   Time t0 = 0, t1 = 0;
 
@@ -127,7 +125,6 @@ inline Time run_pingpong(Cluster& cluster, std::size_t len, int iters,
       ep.wait(ep.isend(buf1.data(), len, Addr{0, 0}, 7));
     }
   });
-  cluster.set_monitor(monitor);
   cluster.run();
   return (t1 - t0) / (2 * iters);
 }

@@ -1,6 +1,6 @@
 #pragma once
 
-// Cross-validation harness for the hybrid-fidelity network: runs the
+// Cross-validation harness for the fluid network model: runs the
 // same ping-pong workloads through the fluid FlowNetwork and through the
 // exact packet engine, and reports the throughput ratio between them.
 //

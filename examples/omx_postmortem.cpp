@@ -36,7 +36,6 @@ namespace {
 struct DumpEvent {
   char name[64] = {0};
   char cat[32] = {0};
-  unsigned shard = 0;
   double ts_us = 0.0;
   int node = -1;
   unsigned long long a0 = 0;
@@ -64,14 +63,14 @@ bool parse_dump(const char* path, Dump& out) {
       have_header = true;
       continue;
     }
+    // pid and tid are skipped: the ring is one track (pid 0), and older
+    // per-shard dumps parse the same way.
     DumpEvent e;
-    int tid;
     if (std::sscanf(line,
                     "{\"name\":\"%63[^\"]\",\"cat\":\"%31[^\"]\",\"ph\":\"i\","
-                    "\"s\":\"t\",\"pid\":%u,\"tid\":%d,\"ts\":%lf,"
+                    "\"s\":\"t\",\"pid\":%*u,\"tid\":%*d,\"ts\":%lf,"
                     "\"args\":{\"node\":%d,\"a0\":%llu,\"a1\":%llu",
-                    e.name, e.cat, &e.shard, &tid, &e.ts_us, &e.node, &e.a0,
-                    &e.a1) == 8)
+                    e.name, e.cat, &e.ts_us, &e.node, &e.a0, &e.a1) == 6)
       out.events.push_back(e);
   }
   std::fclose(f);
@@ -121,8 +120,8 @@ int print_dump(const Dump& d) {
     const bool hit = have_id && maps_to(e, id);
     if (hit) ++mapped;
     if (i < tail && !hit) continue;  // always show faulting-message events
-    std::printf("%12.3f us  shard%u n%-2d %-12s a0=%-10llu a1=%llu%s\n",
-                e.ts_us, e.shard, e.node, e.name, e.a0, e.a1,
+    std::printf("%12.3f us  n%-2d %-12s a0=%-10llu a1=%llu%s\n", e.ts_us,
+                e.node, e.name, e.a0, e.a1,
                 hit ? "   <-- faulting message" : "");
   }
 

@@ -12,7 +12,6 @@
 #include "core/params.hpp"
 #include "core/process.hpp"
 #include "net/network.hpp"
-#include "obs/monitor.hpp"
 #include "obs/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/lp.hpp"
@@ -102,12 +101,6 @@ class Cluster {
     return *procs_.back();
   }
 
-  /// Attaches a live monitor (nullptr detaches).  A one-LP run polls it
-  /// after every event — one comparison per step when no sample is due;
-  /// a partitioned run polls it at every window plan.  Either way the
-  /// monitor sees live counters without scheduling any engine event.
-  void set_monitor(obs::Monitor* monitor) { monitor_ = monitor; }
-
   /// Starts every process and runs all partitions to global quiescence.
   /// A partitioned run executes on `workers` OS threads (0 = auto-size
   /// from the shared pool); a one-LP run ignores `workers` and never
@@ -116,17 +109,10 @@ class Cluster {
   void run(unsigned workers = 0) {
     if (more_lps_.empty()) {
       for (auto& p : procs_) p->start();
-      sim::Engine& e = engine();
-      if (monitor_) {
-        while (e.step()) monitor_->poll(e.now());
-        monitor_->poll(e.now());
-      } else {
-        e.run();
-      }
+      engine().run();
     } else {
       bind_shards();
       for (auto& p : procs_) p->start();
-      scheduler_.set_monitor(monitor_);
       scheduler_.run(workers);
     }
     for (auto& p : procs_) {
@@ -216,7 +202,6 @@ class Cluster {
   sim::LpScheduler scheduler_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Process>> procs_;
-  obs::Monitor* monitor_ = nullptr;
   bool bound_ = false;
 };
 

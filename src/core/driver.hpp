@@ -33,7 +33,6 @@ class DriverEndpoint {
 
   [[nodiscard]] Addr addr() const { return addr_; }
   [[nodiscard]] bool has_events() const { return !events_.empty(); }
-  [[nodiscard]] std::size_t event_count() const { return events_.size(); }
 
   /// Pops the oldest event; caller (the library) charges the fetch cost.
   Event pop_event() {
@@ -107,7 +106,6 @@ class Driver {
 
   [[nodiscard]] Node& node() { return node_; }
   [[nodiscard]] const OmxConfig& config() const { return config_; }
-  [[nodiscard]] OmxConfig& config_mut() { return config_; }
   [[nodiscard]] sim::Counters& counters() { return counters_; }
   [[nodiscard]] mem::RegCache& regcache() { return regcache_; }
 

@@ -30,19 +30,6 @@ enum class PktType : std::uint8_t {
   Nack,        // destination endpoint does not exist (fail fast)
 };
 
-inline const char* pkt_name(PktType t) {
-  switch (t) {
-    case PktType::EagerFrag: return "eager";
-    case PktType::Rndv: return "rndv";
-    case PktType::PullReq: return "pull-req";
-    case PktType::PullReply: return "pull-reply";
-    case PktType::MsgAck: return "msg-ack";
-    case PktType::LargeAck: return "large-ack";
-    case PktType::Nack: return "nack";
-    default: return "?";
-  }
-}
-
 /// Base of every Open-MX frame payload.
 struct OmxPkt : net::Payload {
   PktType type;

@@ -152,12 +152,6 @@ class Machine {
     return t;
   }
 
-  /// True if the core has queued or running work.
-  [[nodiscard]] bool core_active(int core) const {
-    check_core(core);
-    return cores_[core].running;
-  }
-
   void reset_accounting() {
     for (auto& c : cores_) c.busy.fill(0);
   }

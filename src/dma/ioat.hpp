@@ -196,14 +196,6 @@ class IoatEngine {
     return false;
   }
 
-  /// Total failed descriptors recorded on `chan` so far.
-  [[nodiscard]] std::size_t failed_count(int chan) const {
-    std::size_t n = channel(chan).failed.size();
-    for (const Desc& d : channel(chan).inflight)
-      if (d.failed) ++n;
-    return n;
-  }
-
   /// Virtual time at which `cookie` will have completed.  Deterministic
   /// because the channel is a FIFO; used by the busy-poll loop and by the
   /// predicted-completion-sleep extension (paper Section VI).

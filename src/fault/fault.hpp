@@ -30,22 +30,6 @@ enum class Match : std::uint8_t {
   Data,       // Eager or PullReply (anything carrying payload bytes)
 };
 
-[[nodiscard]] inline const char* match_name(Match m) {
-  switch (m) {
-    case Match::Any: return "any";
-    case Match::Eager: return "eager";
-    case Match::Rndv: return "rndv";
-    case Match::PullReq: return "pull-req";
-    case Match::PullReply: return "pull-reply";
-    case Match::MsgAck: return "msg-ack";
-    case Match::LargeAck: return "large-ack";
-    case Match::Nack: return "nack";
-    case Match::AnyAck: return "any-ack";
-    case Match::Data: return "data";
-    default: return "?";
-  }
-}
-
 /// Classifies a frame by its Open-MX packet type; non-OMX payloads (raw
 /// net-layer tests) classify as Any and only match Match::Any rules.
 [[nodiscard]] inline std::optional<core::PktType> pkt_type_of(

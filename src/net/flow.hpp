@@ -1,14 +1,11 @@
 #pragma once
 
-// Flow-level (fluid) network model: the fast-path half of the
-// hybrid-fidelity fabric.  Where net::Network moves every Ethernet frame
-// as its own event (exact, O(frames)), FlowNetwork treats a whole
-// transfer as one *flow* holding a max-min fair share of the links it
-// crosses, and schedules a single analytically computed completion event
-// per flow — cost O(active flows), independent of transfer size.  This
-// is the SimGrid-style fluid model ROADMAP item 3 calls for; packet
-// fidelity stays available for the nodes under study via
-// net::HybridNetwork (hybrid.hpp).
+// Flow-level (fluid) network model.  Where net::Network moves every
+// Ethernet frame as its own event (exact, O(frames)), FlowNetwork treats
+// a whole transfer as one *flow* holding a max-min fair share of the
+// links it crosses, and schedules a single analytically computed
+// completion event per flow — cost O(active flows), independent of
+// transfer size: a SimGrid-style fluid model.
 
 #include <algorithm>
 #include <array>
@@ -21,7 +18,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "obs/monitor.hpp"
 #include "obs/wallprof.hpp"
 #include "sim/engine.hpp"
 #include "sim/lp.hpp"
@@ -43,12 +39,9 @@ struct FlowParams {
   double oversub = 1.0;             // fabric oversubscription factor
   std::size_t frame_overhead = 38;  // per-frame Ethernet overhead
   std::size_t mtu = 9000;           // framing granularity of a transfer
-  /// Sliding window over which foreground (packet-fidelity) traffic is
-  /// averaged into a capacity reservation on shared ports.
-  sim::Time fg_window_ns = 100 * sim::kMicrosecond;
 
-  /// Fluid parameters matching a packet NetParams, so both fidelities
-  /// model the same physical links.  `chunk` overrides the framing
+  /// Fluid parameters matching a packet NetParams, so both models
+  /// describe the same physical links.  `chunk` overrides the framing
   /// granularity (e.g. the Open-MX 4 KiB fragment payload) and
   /// `chunk_overhead` the per-chunk header bytes on top of the Ethernet
   /// overhead.
@@ -117,16 +110,9 @@ class FlowNetwork {
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
   [[nodiscard]] const FlowParams& params() const { return params_; }
-  [[nodiscard]] std::size_t num_endpoints() const { return num_endpoints_; }
   [[nodiscard]] std::size_t active_flows() const { return active_; }
   [[nodiscard]] const sim::Counters& counters() const { return counters_; }
   [[nodiscard]] sim::Counters& counters() { return counters_; }
-
-  /// Attaches a live monitor, polled at every flow completion (a
-  /// deterministic point where the flow counters have just advanced).
-  /// Typical SLO: flow.solver_visits / flow.completed staying near 1 —
-  /// a super-linear re-solve is the fluid model's pathological mode.
-  void set_monitor(obs::Monitor* m) { monitor_ = m; }
 
   /// Grows the port tables to cover endpoints [0, n).  Implicit on
   /// transfer(), explicit for benchmarks that want allocation up front.
@@ -196,29 +182,6 @@ class FlowNetwork {
     return id;
   }
 
-  // ---- hybrid coupling (see net::HybridNetwork) --------------------------
-
-  /// Fraction of `node`'s tx port a foreground frame can serialize at
-  /// right now, given the background flows holding the port: the frame
-  /// gets the free headroom but never less than an equal fair share.
-  [[nodiscard]] double tx_share(int node) {
-    return port_share(tx_link(node));
-  }
-  [[nodiscard]] double rx_share(int node) {
-    return port_share(rx_link(node));
-  }
-
-  /// Accounts `wire_bytes` of foreground (packet-fidelity) traffic on the
-  /// two ports it crossed.  The solver sees the sliding-window average of
-  /// these notes as a capacity reservation, so background flows slow down
-  /// under foreground load without the fluid model ever touching
-  /// per-frame state.
-  void note_foreground(int src, int dst, std::size_t wire_bytes) {
-    ensure_endpoints(static_cast<std::size_t>(std::max(src, dst)) + 1);
-    note_fg_on(links_[tx_link(src)], wire_bytes);
-    note_fg_on(links_[rx_link(dst)], wire_bytes);
-  }
-
   // ---- multi-LP shard binding -------------------------------------------
 
   /// This instance becomes one shard of a partitioned fluid fabric:
@@ -238,8 +201,6 @@ class FlowNetwork {
   }
 
  private:
-  friend class HybridNetwork;
-
   static constexpr double kMinRate = 1.0;       // bytes/s floor, avoids /0
   static constexpr double kSatSlack = 1e-6;     // relative saturation slack
 
@@ -265,8 +226,6 @@ class FlowNetwork {
   struct Link {
     double cap = 0;
     double used = 0;        // sum of current flow rates
-    double fg_rate = 0;     // decaying foreground byte-rate estimate
-    sim::Time fg_last = 0;
     std::vector<std::uint32_t> flows;
     // solver scratch
     std::uint32_t mark = 0;
@@ -325,40 +284,6 @@ class FlowNetwork {
     return {f.links.begin(), f.links.begin() + f.nlinks};
   }
 
-  /// Decays and returns the foreground reservation on a link (bounded so
-  /// background flows always keep a sliver of every port).
-  double fg_reservation(Link& l) {
-    if (l.fg_rate <= 0) return 0;
-    const sim::Time now = engine_.now();
-    const sim::Time dt = now - l.fg_last;
-    if (dt >= params_.fg_window_ns) {
-      l.fg_rate = 0;
-    } else if (dt > 0) {
-      l.fg_rate *= static_cast<double>(params_.fg_window_ns - dt) /
-                   static_cast<double>(params_.fg_window_ns);
-    }
-    l.fg_last = now;
-    return std::min(l.fg_rate, 0.95 * l.cap);
-  }
-
-  void note_fg_on(Link& l, std::size_t wire_bytes) {
-    fg_reservation(l);  // decay to now
-    l.fg_rate += static_cast<double>(wire_bytes) * 1e9 /
-                 static_cast<double>(params_.fg_window_ns);
-    l.fg_last = engine_.now();
-  }
-
-  [[nodiscard]] double port_share(std::size_t l_id) {
-    if (l_id >= links_.size()) return 1.0;
-    Link& l = links_[l_id];
-    const std::size_t n = l.flows.size();
-    if (n == 0) return 1.0;
-    const double headroom = std::max(l.cap - l.used, 0.0);
-    const double fair = l.cap / static_cast<double>(n + 1);
-    const double share = std::max(headroom, fair) / l.cap;
-    return std::clamp(share, 0.01, 1.0);
-  }
-
   [[nodiscard]] bool saturated(const Link& l) const {
     return l.used >= l.cap * (1.0 - kSatSlack);
   }
@@ -401,8 +326,8 @@ class FlowNetwork {
       std::sort(comp_flows_.begin(), comp_flows_.end());
       c_solver_visits_->add(comp_flows_.size());
 
-      // Residual capacity = cap - foreground reservation - external flows
-      // (flows outside the component keep their current rates).
+      // Residual capacity = cap - external flows (flows outside the
+      // component keep their current rates).
       for (std::size_t lid : comp_links_) {
         Link& l = links_[lid];
         double comp_used = 0;
@@ -413,8 +338,7 @@ class FlowNetwork {
             ++n;
           }
         const double external = l.used - comp_used;
-        l.residual =
-            std::max(l.cap - fg_reservation(l) - external, l.cap * 0.01);
+        l.residual = std::max(l.cap - external, l.cap * 0.01);
         l.unfrozen = n;
       }
       for (std::uint32_t s : comp_flows_) flows_[s].frozen = false;
@@ -540,7 +464,6 @@ class FlowNetwork {
     --active_;
     c_completed_->add();
     g_active_->set(static_cast<std::int64_t>(active_));
-    if (monitor_) monitor_->poll(now);
 
     const sim::Time deliver_at = now + params_.latency_ns;
     if (lp_ && lp_of_ep_.at(static_cast<std::size_t>(info.dst)) != lp_->id()) {
@@ -590,7 +513,6 @@ class FlowNetwork {
   obs::Gauge* g_active_ = nullptr;
   obs::Histogram* h_comp_flows_ = nullptr;
   obs::Histogram* h_rate_mibs_ = nullptr;
-  obs::Monitor* monitor_ = nullptr;
 };
 
 }  // namespace openmx::net

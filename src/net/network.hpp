@@ -89,27 +89,6 @@ struct NetParams {
 
 class Network;
 
-/// Hybrid-fidelity coupling hook (see net::HybridNetwork): lets a
-/// coexisting fluid model derate this packet network's link capacities
-/// and observe its traffic, without the packet path knowing anything
-/// about flows.
-///
-/// tx_share()/rx_share() return the fraction of the port's line rate a
-/// foreground frame may serialize at right now (1.0 = uncontended); the
-/// packet path divides its serialization rate by the share.  on_wire()
-/// reports every frame that occupied a tx port (including frames later
-/// dropped in the fabric), so the fluid side can reserve capacity for
-/// foreground load.  With no throttle installed the transmit path is
-/// byte-for-byte the historical one — asserted by test_flow's
-/// packet-parity suite.
-class LinkThrottle {
- public:
-  virtual ~LinkThrottle() = default;
-  virtual double tx_share(int node) = 0;
-  virtual double rx_share(int node) = 0;
-  virtual void on_wire(int src_node, int dst_node, std::size_t wire_bytes) = 0;
-};
-
 /// A received frame held in a NIC-ring socket buffer.
 ///
 /// The skbuff occupies one rx-ring slot until every reference is dropped —
@@ -275,18 +254,11 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   [[nodiscard]] const NetParams& params() const { return params_; }
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
-  void set_loss_prob(double p) { params_.loss_prob = p; }
 
   /// Installs (or clears, with nullptr) the scripted fault injector.  No
   /// injector means the transmit path is byte-for-byte the pre-fault one.
   void set_fault_injector(FaultInjector* f) { faults_ = f; }
   [[nodiscard]] FaultInjector* fault_injector() const { return faults_; }
-
-  /// Installs (or clears) the hybrid-fidelity capacity coupling; see
-  /// LinkThrottle.  No throttle means historical bit-identical timing.
-  void set_link_throttle(LinkThrottle* t) { throttle_ = t; }
-  [[nodiscard]] LinkThrottle* link_throttle() const { return throttle_; }
 
   void attach(Nic& nic) {
     const auto id = static_cast<std::size_t>(nic.node_id());
@@ -323,21 +295,9 @@ class Network {
 
     c_tx_frames_->add();
     const std::size_t wire_total = frame.wire_bytes + params_.frame_overhead;
-    // Background flows sharing a port stretch the frame's serialization
-    // on that side; with no throttle both sides serialize at line rate
-    // and ser_rx == ser_tx (the historical single-`ser` path).
-    sim::Time ser_tx = sim::duration_for_bytes(wire_total, params_.wire_bw);
-    sim::Time ser_rx = ser_tx;
-    if (throttle_) {
-      ser_tx = sim::duration_for_bytes(
-          wire_total, params_.wire_bw * throttle_->tx_share(frame.src_node));
-      ser_rx = sim::duration_for_bytes(
-          wire_total, params_.wire_bw * throttle_->rx_share(frame.dst_node));
-    }
+    const sim::Time ser = sim::duration_for_bytes(wire_total, params_.wire_bw);
     const sim::Time tx_start = std::max(engine_.now(), tx_free_[src]);
-    tx_free_[src] = tx_start + ser_tx;
-    if (throttle_)
-      throttle_->on_wire(frame.src_node, frame.dst_node, wire_total);
+    tx_free_[src] = tx_start + ser;
 
     // Scripted faults see every frame in transmit order (deterministic
     // occurrence counting), before the uniform Bernoulli loss draw.
@@ -365,18 +325,11 @@ class Network {
     }
 
     // Earliest instant the rx port could start serializing this frame:
-    // it left the tx port at tx_free_[src] and needs ser_rx on the far
-    // side ending no sooner than one wire latency after tx completion —
-    // but never earlier than first-byte arrival (tx_start + latency),
-    // which matters when a throttled rx side is slower than the tx side.
-    // Unthrottled the two expressions are equal, so this reduces exactly
-    // to the historical tx_end + latency - ser.  claim_time >= now +
-    // latency either way — the lookahead guarantee.
-    const sim::Time claim_time =
-        std::max(tx_free_[src] + params_.latency_ns - ser_rx,
-                 tx_start + params_.latency_ns);
+    // its first byte arrives one wire latency after the tx port started
+    // sending it.  claim_time >= now + latency — the lookahead guarantee.
+    const sim::Time claim_time = tx_start + params_.latency_ns;
     RxClaim claim{claim_time, static_cast<std::uint32_t>(src),
-                  tx_seq_[src]++, ser_rx, fd.delay_ns, frame};
+                  tx_seq_[src]++, ser, fd.delay_ns, frame};
     route_claim(dst, claim);
 
     for (int i = 0; i < fd.duplicates; ++i) {
@@ -496,7 +449,6 @@ class Network {
   sim::Engine& engine_;
   NetParams params_;
   FaultInjector* faults_ = nullptr;
-  LinkThrottle* throttle_ = nullptr;
   std::vector<Nic*> nics_;
   std::vector<sim::Time> tx_free_;
   std::vector<sim::Time> rx_free_;

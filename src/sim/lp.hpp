@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/monitor.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
 #include "obs/wallprof.hpp"
@@ -220,11 +219,6 @@ class LpScheduler {
     return window_log_;
   }
 
-  /// Attaches a live monitor, polled by the coordinator at every window
-  /// plan with the window's start time — deterministic poll points, so
-  /// the sampled stream is worker-count invariant.
-  void set_monitor(obs::Monitor* m) { monitor_ = m; }
-
   /// Folds the per-LP telemetry into `out` in LP-id order (deterministic
   /// for any worker count): per-LP counters/histograms under lp.<id>.*,
   /// the critical-LP summary under lp.critical.*, and scheduler-wide
@@ -389,7 +383,6 @@ class LpScheduler {
     cur_win_ = log_cap_ ? &window_log_.append(start, window_end_,
                                               critical->id_, slack)
                         : nullptr;
-    if (monitor_) monitor_->poll(start);
   }
 
   /// One LP's slice of the window: deliver the sorted inbound batch,
@@ -455,7 +448,6 @@ class LpScheduler {
   std::size_t log_cap_ = 0;
   obs::LpWindowLog window_log_;
   obs::LpWindow* cur_win_ = nullptr;
-  obs::Monitor* monitor_ = nullptr;
 };
 
 }  // namespace openmx::sim

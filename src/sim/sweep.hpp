@@ -98,8 +98,6 @@ class SweepRunner {
     if (error) std::rethrow_exception(error);
   }
 
-  [[nodiscard]] const SweepOptions& options() const { return opts_; }
-
  private:
   SweepOptions opts_;
 };

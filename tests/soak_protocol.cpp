@@ -29,7 +29,6 @@
 #include "core/endpoint.hpp"
 #include "fault/fault.hpp"
 #include "obs/attrib.hpp"
-#include "obs/monitor.hpp"
 #include "sim/rng.hpp"
 #include "sim/sweep.hpp"
 #include "sim/time.hpp"
@@ -161,18 +160,6 @@ RunResult run_one(std::uint64_t seed) {
     trace.dump_json_file(postmortem_path, why, seed);
     fail(std::string("engine panic: ") + why);
   });
-
-  // Live monitor over the wire counters, polled from the event loop.
-  // The fault-drop-share watchdog logs once if injected loss somehow
-  // dominates the schedule (the plans are bounded, so it should never).
-  obs::Monitor monitor(cluster.network().counters(), 100 * sim::kMicrosecond);
-  monitor.watch("net.tx_frames");
-  monitor.watch("net.fault_drops");
-  monitor.add_slo("net.fault_drop_share", 0.95, [](const obs::Registry& r) {
-    const double tx = static_cast<double>(r.get("net.tx_frames"));
-    return tx > 0 ? static_cast<double>(r.get("net.fault_drops")) / tx : 0.0;
-  });
-  cluster.set_monitor(&monitor);
 
   fault::Plan plan(rng.next_u64());
   build_plan(plan, rng);

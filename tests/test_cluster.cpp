@@ -4,21 +4,15 @@
 // threaded LP scheduler).
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 #include <string>
-#include <vector>
 
 #include "core/cluster.hpp"
 #include "core/endpoint.hpp"
-#include "mem/aligned_buffer.hpp"
-#include "obs/monitor.hpp"
 
 namespace sim = openmx::sim;
 namespace core = openmx::core;
 namespace cpu = openmx::cpu;
-namespace mem = openmx::mem;
-namespace obs = openmx::obs;
 
 TEST(Node, CacheForCoreFollowsSubchips) {
   core::Cluster cluster;
@@ -94,54 +88,6 @@ TEST_P(ClusterLps, ProcessExceptionPropagates) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Lps, ClusterLps, ::testing::Values(1, 2));
-
-TEST(Cluster, PartitionedMonitorStreamIsWorkerCountInvariant) {
-  // A monitor set on a partitioned cluster is polled by the scheduler's
-  // coordinator at every window plan, between barriers: deterministic
-  // poll points over deterministic counters, so the sampled stream must
-  // not depend on how many workers ran the windows.
-  auto dump = [](unsigned workers) {
-    constexpr int kNodes = 4;
-    constexpr std::size_t kLen = 64 * sim::KiB;
-    core::Cluster cluster(kNodes);
-    cluster.add_nodes(kNodes, {});
-    obs::Monitor monitor(cluster.shard(0).counters(),
-                         10 * sim::kMicrosecond);
-    monitor.watch("net.tx_frames");
-    cluster.set_monitor(&monitor);
-    std::vector<mem::Buffer> sb, rb;
-    for (int i = 0; i < kNodes; ++i) {
-      sb.emplace_back(kLen, static_cast<std::uint8_t>(i + 1));
-      rb.emplace_back(kLen, 0);
-    }
-    for (int i = 0; i < kNodes; ++i) {
-      const int next = (i + 1) % kNodes;
-      cluster.spawn(cluster.node(static_cast<std::size_t>(i)), 0,
-                    "ring" + std::to_string(i), [&, i, next](core::Process& p) {
-                      const auto me = static_cast<std::size_t>(i);
-                      core::Endpoint ep(p, static_cast<std::uint16_t>(i));
-                      core::Request* r = ep.irecv(rb[me].data(), kLen, 3);
-                      ep.wait(ep.isend(
-                          sb[me].data(), kLen,
-                          core::Addr{next, static_cast<std::uint16_t>(next)},
-                          3));
-                      ep.wait(r);
-                    });
-    }
-    cluster.run(workers);
-    EXPECT_GT(monitor.samples_taken(), 0u) << workers << " workers";
-    char* buf = nullptr;
-    std::size_t len = 0;
-    std::FILE* f = open_memstream(&buf, &len);
-    monitor.dump_json(f);
-    std::fclose(f);
-    std::string out(buf, len);
-    std::free(buf);
-    return out;
-  };
-  const std::string ref = dump(1);
-  EXPECT_EQ(dump(4), ref);
-}
 
 TEST(Cluster, ProcessesComputeConcurrentlyOnDifferentCores) {
   core::Cluster cluster;

@@ -1,22 +1,12 @@
-// Unit tests for the fluid network model and the hybrid-fidelity
-// coupling: max-min fair-share allocation, incremental re-solve,
-// oversubscribed fabrics, packet-path parity, throttle coupling in both
-// directions, and cross-shard determinism of a partitioned FlowNetwork.
+// Unit tests for the fluid network model: max-min fair-share allocation,
+// incremental re-solve, oversubscribed fabrics, and cross-shard
+// determinism of a partitioned FlowNetwork.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
-#include "core/cluster.hpp"
-#include "core/endpoint.hpp"
-#include "cpu/machine.hpp"
-#include "mem/aligned_buffer.hpp"
-#include "mem/memcpy_model.hpp"
 #include "net/flow.hpp"
-#include "net/hybrid.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "sim/lp.hpp"
@@ -24,8 +14,6 @@
 
 namespace sim = openmx::sim;
 namespace net = openmx::net;
-namespace cpu = openmx::cpu;
-namespace core = openmx::core;
 
 namespace {
 
@@ -35,36 +23,6 @@ constexpr double kBw = 1244.125e6;  // default port rate, bytes/s
 double ns_at(double wire_bytes, double rate_frac) {
   return wire_bytes * 1e9 / (kBw * rate_frac);
 }
-
-struct TestPayload : net::Payload {
-  int value = 0;
-  explicit TestPayload(int v) : value(v) {}
-};
-
-/// Minimal packet fixture (mirrors test_net.cpp) for parity and
-/// coupling tests.
-struct PacketPair {
-  sim::Engine engine;
-  cpu::Machine m0{engine}, m1{engine};
-  openmx::mem::MemBus b0, b1;
-  net::Network network{engine};
-  net::Nic nic0{engine, m0, b0, 0, 1};
-  net::Nic nic1{engine, m1, b1, 1, 1};
-
-  PacketPair() {
-    network.attach(nic0);
-    network.attach(nic1);
-  }
-
-  void send(int from, int to, std::size_t bytes, int tag = 0) {
-    net::Frame f;
-    f.src_node = from;
-    f.dst_node = to;
-    f.wire_bytes = bytes;
-    f.payload = std::make_shared<TestPayload>(tag);
-    network.transmit(std::move(f));
-  }
-};
 
 }  // namespace
 
@@ -225,127 +183,6 @@ TEST(FlowNetwork, TransferValidatesEndpoints) {
   EXPECT_THROW(flow.transfer(-1, 1, 64, {}), std::logic_error);
 }
 
-// ---- hybrid coupling ---------------------------------------------------
-
-TEST(HybridNetwork, PacketPathIsBitIdenticalWithIdleCoupling) {
-  // Installing the hybrid router (throttle hook active, but no
-  // background flows anywhere) must not move a single packet event:
-  // same arrival times, same event count as a plain packet run.
-  auto run = [](bool hybrid) {
-    PacketPair fx;
-    sim::Engine flow_eng;  // separate engine: the coupling is stateless
-    net::FlowNetwork flow(flow_eng);
-    std::unique_ptr<net::HybridNetwork> hy;
-    if (hybrid) hy = std::make_unique<net::HybridNetwork>(fx.network, flow);
-    std::vector<sim::Time> arrivals;
-    fx.nic1.set_rx_callback(
-        [&](net::Skbuff) { arrivals.push_back(fx.engine.now()); });
-    for (int i = 0; i < 8; ++i) fx.send(0, 1, 4096, i);
-    fx.engine.run();
-    arrivals.push_back(static_cast<sim::Time>(fx.engine.events_scheduled()));
-    return arrivals;
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(HybridNetwork, BackgroundFlowSlowsForegroundFrames) {
-  // A background flow landing on node 1 holds its rx port; a foreground
-  // frame into node 1 must serialize at the residual rate and arrive
-  // later than on an idle fabric.
-  auto arrival_with_bg = [](bool background) {
-    PacketPair fx;
-    net::FlowNetwork flow(fx.engine);
-    net::HybridNetwork hy(fx.network, flow);
-    hy.set_fidelity(2, 1, net::Fidelity::kFlow);
-    if (background) hy.transfer(2, 1, 64 * sim::MiB);
-    sim::Time arrival = -1;
-    fx.nic1.set_rx_callback([&](net::Skbuff) { arrival = fx.engine.now(); });
-    fx.send(0, 1, 4096);
-    fx.engine.run();
-    return arrival;
-  };
-  const sim::Time idle = arrival_with_bg(false);
-  const sim::Time contended = arrival_with_bg(true);
-  EXPECT_GT(contended, idle);
-}
-
-TEST(HybridNetwork, ForegroundLoadSlowsBackgroundFlows) {
-  // The reverse direction: foreground frames reported through on_wire
-  // reserve capacity in the fluid solver, so a background flow across
-  // the loaded port completes later than uncontended.
-  sim::Engine eng;
-  net::FlowNetwork flow(eng);
-  flow.ensure_endpoints(2);
-  const sim::Time solo = flow.uncontended_delivery_ns(sim::MiB);
-  // Report heavy foreground traffic into port 1's rx side, then start
-  // the background flow over the same port.
-  for (int i = 0; i < 64; ++i)
-    flow.note_foreground(0, 1, 256 * sim::KiB);
-  sim::Time delivered = 0;
-  flow.transfer(0, 1, sim::MiB,
-                [&](const net::FlowInfo&) { delivered = eng.now(); });
-  eng.run();
-  EXPECT_GT(delivered, solo + solo / 2);  // at least 1.5x slower
-}
-
-TEST(HybridNetwork, TransferRequiresFlowFidelitySource) {
-  PacketPair fx;
-  net::FlowNetwork flow(fx.engine);
-  net::HybridNetwork hy(fx.network, flow);
-  // Node 0 defaults to packet fidelity: flows may not originate there.
-  EXPECT_THROW(hy.transfer(0, 5, 64), std::logic_error);
-  hy.set_fidelity(4, 2, net::Fidelity::kFlow);
-  EXPECT_NO_THROW(hy.transfer(4, 5, 64));
-  fx.engine.run();
-}
-
-TEST(HybridNetwork, ForegroundPingpongRunsOverBackgroundTraffic) {
-  // Full-stack smoke: two Open-MX nodes ping-pong while 64 background
-  // endpoints keep fluid flows running.  The run must terminate, count
-  // background completions, and the foreground must still complete.
-  core::Cluster cluster;
-  cluster.add_nodes(2, core::OmxConfig{});
-  net::FlowNetwork flow(cluster.engine(),
-                        net::FlowParams::match(net::NetParams{}));
-  net::HybridNetwork hybrid(cluster.network(), flow);
-  // Background endpoints 2..65 pair up disjointly (2i <-> 2i+1), and
-  // each pair moves three 256 KiB transfers back to back.
-  hybrid.set_fidelity(2, 64, net::Fidelity::kFlow);
-  int bg_completions = 0;
-  std::function<void(int, int)> start_flow = [&](int src, int left) {
-    hybrid.transfer(src, src + 1, 256 * sim::KiB,
-                    [&, src, left](const net::FlowInfo&) {
-                      ++bg_completions;
-                      if (left > 1) start_flow(src, left - 1);
-                    });
-  };
-  for (int src = 2; src < 66; src += 2) start_flow(src, 3);
-  int rounds_done = 0;
-  cluster.spawn(cluster.node(0), 0, "ping", [&](core::Process& p) {
-    core::Endpoint ep(p, 0);
-    openmx::mem::Buffer buf(4096, 1);
-    for (int i = 0; i < 4; ++i) {
-      ep.wait(ep.isend(buf.data(), 4096, core::Addr{1, 1}, 7));
-      ep.wait(ep.irecv(buf.data(), 4096, 7));
-      ++rounds_done;
-    }
-  });
-  cluster.spawn(cluster.node(1), 0, "pong", [&](core::Process& p) {
-    core::Endpoint ep(p, 1);
-    openmx::mem::Buffer buf(4096, 2);
-    for (int i = 0; i < 4; ++i) {
-      ep.wait(ep.irecv(buf.data(), 4096, 7));
-      ep.wait(ep.isend(buf.data(), 4096, core::Addr{0, 0}, 7));
-    }
-  });
-  cluster.run();
-  EXPECT_EQ(rounds_done, 4);
-  EXPECT_EQ(bg_completions, 32 * 3);
-  // Every start (initial + each restart) routes through the hybrid.
-  EXPECT_EQ(hybrid.counters().get("hybrid.bg_flows"), 32u * 3u);
-  EXPECT_GT(hybrid.counters().get("hybrid.fg_frames"), 0u);
-}
-
 // ---- multi-LP sharding -------------------------------------------------
 
 TEST(FlowNetwork, CrossShardFlowsMatchTheSingleEngineRun) {
@@ -354,7 +191,7 @@ TEST(FlowNetwork, CrossShardFlowsMatchTheSingleEngineRun) {
   // Delivery times must equal the unpartitioned single-engine run
   // exactly.  (Contention here is tx-side and shard-local by design:
   // rx-port sharing *between* shards is approximated, not shared — see
-  // DESIGN.md on fidelity-boundary semantics.)
+  // DESIGN.md §3a, "Sharding".)
   const std::size_t bytes = 3 * sim::MiB;
   auto run_single = [&] {
     sim::Engine eng;

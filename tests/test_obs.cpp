@@ -11,7 +11,6 @@
 
 #include "bench/common.hpp"
 #include "core/cluster.hpp"
-#include "obs/monitor.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -648,76 +647,6 @@ TEST(Registry, LpShardMergeInLpOrderIsByteStable) {
   EXPECT_EQ(fold(), once);
   EXPECT_NE(once.find("lp.3.events"), std::string::npos);
   EXPECT_NE(once.find("lp.max_inbox_depth"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Live run monitor
-// ---------------------------------------------------------------------
-
-TEST(Monitor, SamplesAtAlignedSimCadence) {
-  obs::Registry reg;
-  reg.counter("c").add(1);
-  obs::Monitor mon(reg, 100 * sim::kMicrosecond);
-  mon.watch("c");
-  mon.set_log(nullptr);
-
-  // Dense polling: samples land only on period boundaries (aligned to
-  // multiples, not to the first poll time).
-  for (sim::Time t = 0; t <= 450 * sim::kMicrosecond;
-       t += 10 * sim::kMicrosecond)
-    mon.poll(t);
-  // Due at t=0 (first poll), then 100, 200, 300, 400 us.
-  EXPECT_EQ(mon.samples_taken(), 5u);
-  ASSERT_EQ(mon.snapshot_count(), 5u);
-  EXPECT_EQ(mon.snapshot(0).when, 0);
-  EXPECT_EQ(mon.snapshot(1).when, 100 * sim::kMicrosecond);
-  EXPECT_EQ(mon.snapshot(4).when, 400 * sim::kMicrosecond);
-  ASSERT_EQ(mon.snapshot(0).values.size(), 1u);
-  EXPECT_DOUBLE_EQ(mon.snapshot(0).values[0], 1.0);
-
-  // Sparse polling never samples more than once per poll.
-  obs::Monitor sparse(reg, 100 * sim::kMicrosecond);
-  sparse.set_log(nullptr);
-  sparse.poll(0);
-  sparse.poll(1000 * sim::kMicrosecond);  // 9 periods skipped: 1 sample
-  EXPECT_EQ(sparse.samples_taken(), 2u);
-}
-
-TEST(Monitor, SloBreachesOnceAndRemembersFirst) {
-  obs::Registry reg;
-  auto& c = reg.counter("hot");
-  obs::Monitor mon(reg, 10 * sim::kMicrosecond);
-  mon.set_log(nullptr);  // keep test output clean; logging is one fprintf
-  mon.add_slo("hot.bound", 5.0, [](const obs::Registry& r) {
-    return static_cast<double>(r.get("hot"));
-  });
-
-  mon.poll(0);  // value 0: healthy
-  EXPECT_EQ(mon.breaches(), 0u);
-  c.add(7);
-  mon.poll(10 * sim::kMicrosecond);  // 7 > 5: first breach
-  c.add(100);
-  mon.poll(20 * sim::kMicrosecond);  // still sick: must not re-arm
-  ASSERT_EQ(mon.breaches(), 1u);
-  const auto& slo = mon.slos()[0];
-  EXPECT_TRUE(slo.breached);
-  EXPECT_EQ(slo.breach_when, 10 * sim::kMicrosecond);
-  EXPECT_DOUBLE_EQ(slo.breach_value, 7.0);  // the first breach, not 107
-
-  const std::string json = render([&](std::FILE* f) { mon.dump_json(f); });
-  EXPECT_NE(json.find("\"name\":\"hot.bound\""), std::string::npos);
-  EXPECT_NE(json.find("\"breached\":true"), std::string::npos);
-}
-
-TEST(Monitor, SnapshotRingOverwritesOldest) {
-  obs::Registry reg;
-  obs::Monitor mon(reg, 1, /*max_snapshots=*/4);
-  mon.set_log(nullptr);
-  for (sim::Time t = 1; t <= 10; ++t) mon.poll(t);
-  EXPECT_EQ(mon.samples_taken(), 10u);
-  ASSERT_EQ(mon.snapshot_count(), 4u);
-  EXPECT_EQ(mon.snapshot(0).when, 7);
-  EXPECT_EQ(mon.snapshot(3).when, 10);
 }
 
 // ---------------------------------------------------------------------

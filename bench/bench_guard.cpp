@@ -9,6 +9,9 @@
 //   refresh:  ./build/bench/bench_guard --write bench/baselines/guard.json
 //   check:    ./build/bench/bench_guard --check bench/baselines/guard.json
 //
+// The wall-clock rows also carry hard floors.  --check exits 1 on a
+// missed floor; --write prints the miss and writes the measured value.
+//
 // The metric set covers Fig. 3 (throughput without copy), Fig. 8
 // (I/OAT throughput + DMA/ingress overlap), Fig. 9 (receive-side CPU
 // and DMA utilization), Fig. 10 (intra-node shared memory), and the
@@ -52,7 +55,46 @@ double blame_frac(const obs::AttribReport& report, std::uint64_t cls,
   return total > 0 ? picked / total : 0.0;
 }
 
-std::vector<Metric> compute_metrics() {
+/// Samples a wall-clock overhead ratio (t_off / t_on) best-of-3: a
+/// sample below the 0.97 hard floor, or above the +10 % band around the
+/// committed 1.0 baseline, is measured again, up to twice, and the sample
+/// nearest that range is kept.  Back-to-back runs on the same machine, so
+/// a real regression misses all three.
+template <typename Sample>
+double overhead_ratio(Sample sample) {
+  constexpr double kFloor = 0.97, kTop = 1.10;
+  const auto miss = [](double r) {
+    return r < kFloor ? kFloor - r : r > kTop ? r - kTop : 0.0;
+  };
+  double best = sample();
+  for (int i = 0; i < 2 && miss(best) > 0; ++i) {
+    const double r = sample();
+    if (miss(r) < miss(best)) best = r;
+  }
+  return best;
+}
+
+/// Wall-clock ratio t_off / t_on over `reps` calls of `run(false)` and
+/// `reps` of `run(true)`, interleaved off-on, on-off, off-on, ...  On a
+/// shared host the load drifts over fractions of a second, as long as
+/// one side takes, so timing the sides back to back charges the drift to
+/// one of them; interleaved, it hits both alike.
+template <typename Run>
+double interleaved_ratio(int reps, Run run) {
+  using clock = std::chrono::steady_clock;
+  double secs[2] = {0, 0};  // [off, on]
+  for (int r = 0; r < reps; ++r)
+    for (int k = 0; k < 2; ++k) {
+      const bool on = (r % 2 == 0) == (k == 1);
+      const auto t0 = clock::now();
+      run(on);
+      secs[on ? 1 : 0] +=
+          std::chrono::duration<double>(clock::now() - t0).count();
+    }
+  return secs[1] > 0 ? secs[0] / secs[1] : 0.0;
+}
+
+std::vector<Metric> compute_metrics(bool enforce_floors) {
   std::vector<Metric> m;
   const std::size_t kM = sim::MiB;
   const std::size_t k256 = 256 * sim::KiB;
@@ -113,13 +155,22 @@ std::vector<Metric> compute_metrics() {
   // path that suddenly costs multiples of the sequential one.  The
   // committed baseline is 1.0 with the barrier-backoff regression floor:
   // the w1 partitioned path must stay >= 0.95x of sequential (a
-  // collapsing spin barrier shows up here first).
+  // collapsing spin barrier shows up here first).  96 iterations keep
+  // each side at ~0.15 s or more; they run as eight 12-iteration meshes
+  // a side, interleaved like interleaved_ratio's sides.
   {
     auto w1_parity = [] {
-      const bench::SimSpeedPoint seq = bench::sim_speed(8, 1, 1, 12);
-      const bench::SimSpeedPoint w1 = bench::sim_speed(8, 8, 1, 12);
-      return seq.events_per_sec > 0 ? w1.events_per_sec / seq.events_per_sec
-                                    : 0;
+      double events[2] = {0, 0}, secs[2] = {0, 0};  // [sequential, w1]
+      for (int r = 0; r < 8; ++r)
+        for (int k = 0; k < 2; ++k) {
+          const int part = (r % 2 == 0) == (k == 1) ? 1 : 0;
+          const bench::SimSpeedPoint p =
+              bench::sim_speed(8, part ? 8 : 1, 1, 12);
+          events[part] += static_cast<double>(p.events);
+          secs[part] += p.wall_s;
+        }
+      const double seq_eps = secs[0] > 0 ? events[0] / secs[0] : 0;
+      return seq_eps > 0 && secs[1] > 0 ? events[1] / secs[1] / seq_eps : 0;
     };
     double ratio = w1_parity();
     // Hard floor from the spin-barrier backoff fix: the partitioned path
@@ -132,7 +183,7 @@ std::vector<Metric> compute_metrics() {
                    "bench_guard: w1 parity %.3f below the 0.95 floor "
                    "(spin-barrier oversubscription regression?)\n",
                    ratio);
-      std::exit(1);
+      if (enforce_floors) std::exit(1);
     }
     m.push_back({"sim_speed.par_ratio_w1", ratio, 0.40});
   }
@@ -142,35 +193,27 @@ std::vector<Metric> compute_metrics() {
   // relative to the same run with it off.  Harnesses that want a
   // postmortem leave that ring on for the whole run, so its cost is
   // contracted to < 3 %: ratio = t_off / t_on, and the 0.97 hard floor is
-  // exactly that bound.  Wall-clock noise gets a best-of-3 retry (same
-  // machine, back-to-back, so a real regression fails all three).
+  // exactly that bound.  Wall-clock noise gets interleaved sides and
+  // overhead_ratio's best-of-3.
   {
     auto recorder_ratio = [] {
-      auto workload = [](bool rec) {
-        using clock = std::chrono::steady_clock;
-        const auto t0 = clock::now();
-        for (int r = 0; r < 4; ++r) {
-          bench::Cluster cluster;
-          cluster.add_nodes(2, bench::cfg_omx_ioat());
-          if (rec) cluster.engine().trace().enable(256);
-          bench::run_pingpong(cluster, 256 * sim::KiB, 12, 1);
-        }
-        return std::chrono::duration<double>(clock::now() - t0).count();
+      auto once = [](bool rec) {
+        bench::Cluster cluster;
+        cluster.add_nodes(2, bench::cfg_omx_ioat());
+        if (rec) cluster.engine().trace().enable(256);
+        bench::run_pingpong(cluster, 256 * sim::KiB, 12, 1);
       };
-      workload(false);  // warm caches/allocator
-      const double off = workload(false);
-      const double on = workload(true);
-      return on > 0 ? off / on : 0.0;
+      for (int r = 0; r < 8; ++r) once(false);  // warm caches/allocator
+      // 64 runs a side: ~0.15 s or more, like the profiler row below.
+      return interleaved_ratio(64, once);
     };
-    double ratio = recorder_ratio();
-    if (ratio < 0.97) ratio = std::max(ratio, recorder_ratio());
-    if (ratio < 0.97) ratio = std::max(ratio, recorder_ratio());
+    const double ratio = overhead_ratio(recorder_ratio);
     if (ratio < 0.97) {
       std::fprintf(stderr,
                    "bench_guard: recorder ratio %.3f below the 0.97 floor "
                    "(the postmortem trace ring costs more than 3%%)\n",
                    ratio);
-      std::exit(1);
+      if (enforce_floors) std::exit(1);
     }
     m.push_back({"obs.recorder_overhead", ratio, 0.10});
   }
@@ -178,39 +221,30 @@ std::vector<Metric> compute_metrics() {
   // Wall-clock self-profiler: the same contract as the postmortem ring —
   // zones are enabled by default, so their cost on a realistic event mix
   // is pinned below 3 % (ratio = t_off / t_on with the 0.97 hard floor,
-  // best-of-3 against scheduler noise).
+  // interleaved sides and overhead_ratio's best-of-3 against host noise).
   {
     obs::WallProfiler& prof = obs::WallProfiler::instance();
     const bool was_enabled = prof.enabled();
     auto wallprof_ratio = [&prof] {
-      auto workload = [&prof](bool on) {
+      auto once = [&prof](bool on) {
         prof.set_enabled(on);
-        using clock = std::chrono::steady_clock;
-        const auto t0 = clock::now();
-        // ~0.2 s per side: long enough that scheduler jitter stays well
-        // inside the 3 % budget the floor below enforces.
-        for (int r = 0; r < 8; ++r) {
-          bench::Cluster cluster;
-          cluster.add_nodes(2, bench::cfg_omx_ioat());
-          bench::run_pingpong(cluster, 256 * sim::KiB, 12, 1);
-        }
-        return std::chrono::duration<double>(clock::now() - t0).count();
+        bench::Cluster cluster;
+        cluster.add_nodes(2, bench::cfg_omx_ioat());
+        bench::run_pingpong(cluster, 256 * sim::KiB, 12, 1);
       };
-      workload(false);  // warm caches/allocator
-      const double off = workload(false);
-      const double on = workload(true);
-      return on > 0 ? off / on : 0.0;
+      for (int r = 0; r < 8; ++r) once(false);  // warm caches/allocator
+      // 64 runs a side, ~0.15 s or more: long enough that scheduler
+      // jitter stays well inside the 3 % budget the floor below enforces.
+      return interleaved_ratio(64, once);
     };
-    double ratio = wallprof_ratio();
-    if (ratio < 0.97) ratio = std::max(ratio, wallprof_ratio());
-    if (ratio < 0.97) ratio = std::max(ratio, wallprof_ratio());
+    const double ratio = overhead_ratio(wallprof_ratio);
     prof.set_enabled(was_enabled);
     if (ratio < 0.97) {
       std::fprintf(stderr,
                    "bench_guard: wallprof ratio %.3f below the 0.97 floor "
                    "(scoped zones cost more than 3%%)\n",
                    ratio);
-      std::exit(1);
+      if (enforce_floors) std::exit(1);
     }
     m.push_back({"obs.wallprof_overhead", ratio, 0.10});
   }
@@ -348,7 +382,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: bench_guard [--check|--write] [guard.json]\n");
     return 2;
   }
-  const std::vector<Metric> metrics = compute_metrics();
+  const std::vector<Metric> metrics =
+      compute_metrics(/*enforce_floors=*/mode == "--check");
   if (mode == "--write") return write_baseline(metrics, path) ? 0 : 1;
   return check_against(metrics, path);
 }

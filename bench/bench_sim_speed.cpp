@@ -206,7 +206,10 @@ namespace {
 // time lands in the table, and the sequential mode asserts that the
 // instrumented zones explain >= 90 % of the engine-run wall time — the
 // coverage contract that makes "where does the wall time go" claims
-// trustworthy.  Zone totals go to a *separate*
+// trustworthy.  engine.dispatch is a sampled estimate that also carries
+// the cost of its own zones, so it can exceed engine.run, where coverage
+// saturates at 100 %; the dispatch/run column prints the unclamped ratio.
+// Zone totals go to a *separate*
 // BENCH_sim_speed_wall_metrics.json: wall numbers are nondeterministic
 // and must never mix into the deterministic metrics stream.
 void run_scaleout_kpi() {
@@ -219,14 +222,20 @@ void run_scaleout_kpi() {
   prof.reset();
   const bench::SimSpeedPoint seq = bench::sim_speed(kNodes, 1, 1, kIters);
   const double seq_coverage = prof.coverage("engine.run");
+  const double run_ns = static_cast<double>(prof.totals("engine.run").ns);
+  const double seq_dispatch_share =
+      run_ns > 0
+          ? static_cast<double>(prof.totals("engine.dispatch").ns) / run_ns
+          : 0;
   if (prof_on) prof.export_metrics(wall, "seq.");
   std::printf("\n=== sim_speed scale-out KPI (%d-node ring, %d iters) ===\n",
               kNodes, kIters);
-  std::printf("%-14s %14s %12s %12s %10s %10s\n", "mode", "events/s", "events",
-              "wall[ms]", "barrier%", "coverage");
-  std::printf("%-14s %14.0f %12llu %12.1f %10s %9.1f%%\n", "sequential",
-              seq.events_per_sec, static_cast<unsigned long long>(seq.events),
-              1e3 * seq.wall_s, "-", 100.0 * seq_coverage);
+  std::printf("%-14s %14s %12s %12s %10s %10s %13s\n", "mode", "events/s",
+              "events", "wall[ms]", "barrier%", "coverage", "dispatch/run");
+  std::printf("%-14s %14.0f %12llu %12.1f %10s %9.1f%% %12.1f%%\n",
+              "sequential", seq.events_per_sec,
+              static_cast<unsigned long long>(seq.events), 1e3 * seq.wall_s,
+              "-", 100.0 * seq_coverage, 100.0 * seq_dispatch_share);
   if (prof_on && seq_coverage < 0.90) {
     std::fprintf(stderr,
                  "FAIL: wall zones cover %.1f%% of sequential engine-run "
@@ -267,11 +276,11 @@ void run_scaleout_kpi() {
       std::printf("per-LP scheduler timeline: %s\n", lp_trace.c_str());
     const double speedup =
         seq.wall_s > 0 && mlp.wall_s > 0 ? seq.wall_s / mlp.wall_s : 0;
-    std::printf("%-14s %14.0f %12llu %12.1f %9.1f%% %10s   speedup %.2fx\n",
-                ("multi-lp w" + std::to_string(workers)).c_str(),
-                mlp.events_per_sec,
-                static_cast<unsigned long long>(mlp.events), 1e3 * mlp.wall_s,
-                100.0 * bshare, "-", speedup);
+    std::printf(
+        "%-14s %14.0f %12llu %12.1f %9.1f%% %10s %13s   speedup %.2fx\n",
+        ("multi-lp w" + std::to_string(workers)).c_str(), mlp.events_per_sec,
+        static_cast<unsigned long long>(mlp.events), 1e3 * mlp.wall_s,
+        100.0 * bshare, "-", "-", speedup);
     const std::string prefix = "sim_speed.mlp_w" + std::to_string(workers);
     reg.counter(prefix + "_events_per_sec")
         .add(static_cast<std::uint64_t>(mlp.events_per_sec));

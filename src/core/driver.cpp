@@ -94,8 +94,8 @@ void Driver::transmit(Addr src_ep_addr, Addr dst, std::shared_ptr<OmxPkt> pkt,
   f.src_node = node_.id();
   f.dst_node = dst.node;
   f.wire_bytes = wire_bytes_for(data_bytes);
-  // Wire checksum: injected corruption flips the frame's copy, and the
-  // receiver's recompute in rx() catches it like real payload damage.
+  // Header checksum: injected corruption flips the frame's copy, and the
+  // receiver's recompute in rx() catches it like real frame damage.
   f.csum = pkt_checksum(*pkt);
   f.payload = std::move(pkt);
   node_.network().transmit(std::move(f));

@@ -32,11 +32,12 @@ using PayloadPtr = std::shared_ptr<const Payload>;
 /// including protocol headers but excluding the fixed per-frame Ethernet
 /// overhead (preamble/header/FCS/IFG), which the link model adds.
 ///
-/// `csum` is the protocol layer's wire checksum of the payload (0 = the
-/// sender computed none).  The payload object itself is shared and
-/// immutable, so wire corruption is modeled by flipping bits of the
-/// checksum copy carried in the frame: the receiver's recompute-and-compare
-/// fails exactly as it would had the payload bits flipped instead.
+/// `csum` is the protocol layer's wire checksum (0 = the sender computed
+/// none); Open-MX's core::pkt_checksum covers the packet header only.  The
+/// payload object itself is shared and immutable, so wire corruption is
+/// modeled by flipping bits of the checksum copy carried in the frame: the
+/// receiver's recompute-and-compare fails exactly as it would had bits of
+/// the frame flipped instead.
 struct Frame {
   int src_node = -1;
   int dst_node = -1;
@@ -308,8 +309,9 @@ class Network {
       return;
     }
     if (fd.corrupt) {
-      // Damage the wire image: the receiver recomputes the payload
-      // checksum, compares against this flipped copy, and discards.
+      // Damage the wire image: the receiver recomputes the header
+      // checksum of the unchanged payload object, compares it against
+      // this flipped copy, and discards.
       frame.csum ^= 0xDEADBEEFu;
       c_fault_corrupt_->add();
     }

@@ -25,11 +25,23 @@ namespace openmx::obs {
 /// contract.  This class is its host-time mirror: RAII scoped zones
 /// (OMX_WALL_ZONE("engine.dispatch")) aggregate count / inclusive-ns /
 /// exclusive-ns per zone into thread-local tables — no locks, no shared
-/// writes on the hot path — so the cost of a zone is two timestamp reads
-/// (rdtsc where available) plus a handful of thread-local adds.  Zone ids
-/// are interned once per call site through a function-local static, and a
-/// per-thread zone *stack* subtracts child time from the parent, so
-/// exclusive times always satisfy excl == incl - sum(child incl) exactly.
+/// writes on the hot path — so the cost of a timed zone is two timestamp
+/// reads (rdtsc where available) plus a handful of thread-local adds.
+/// Zone ids are interned once per call site through a function-local
+/// static, and a per-thread zone *stack* subtracts child time from the
+/// parent, so exclusive times satisfy excl == incl - sum(child incl).
+///
+/// Two tiers.  Zones outside engine events (engine.run, lp.*, harness
+/// zones) are exact: every occurrence is timed.  Inside an event — the
+/// scope of one EventSample, opened by sim::Engine::step — zones are
+/// sampled: one event in kEventSampleEvery is timed together with every
+/// zone opened inside it, and each of those occurrences is recorded at
+/// weight kEventSampleEvery (count, inclusive and child time alike); in
+/// the other events a zone costs one thread-local flag check.  Sampled
+/// totals are therefore estimates that also carry the cost of their own
+/// zones, so a parent's exclusive time (incl minus the estimated child
+/// time) can come out negative; it is clamped at 0.  While the slice ring
+/// is on every event is timed at weight 1, so traces show every slice.
 ///
 /// Wall numbers are inherently nondeterministic, so they live strictly
 /// apart from the deterministic metrics stream: export_metrics() writes
@@ -103,9 +115,10 @@ class WallProfiler {
 #endif
   }
 
-  /// Raw timestamp (ticks of clock_name()).  rdtsc on x86 — ~20 cycles,
-  /// an order of magnitude cheaper than a clock_gettime vsyscall, which
-  /// is what keeps per-event zones inside the <=3 % overhead budget.
+  /// Raw timestamp (ticks of clock_name()).  rdtsc on x86 — cheaper than
+  /// a clock_gettime vsyscall, but still ~16 ns on a virtualized host, so
+  /// a timed zone costs ~40 ns: too much to pay on every ~30 ns engine
+  /// event, which is why in-event zones are sampled (see EventSample).
   [[nodiscard]] static std::uint64_t now_raw() {
 #if defined(__x86_64__) || defined(__i386__)
     return __rdtsc();
@@ -172,7 +185,7 @@ class WallProfiler {
       const ZoneStat& s = t->stats[zid];
       out.count += s.count;
       out.ns += to_ns(s.incl_ticks, npt);
-      out.excl_ns += to_ns(s.incl_ticks - s.child_ticks, npt);
+      out.excl_ns += to_ns(excl_ticks(s), npt);
     }
     return out;
   }
@@ -191,7 +204,9 @@ class WallProfiler {
   /// Fraction of `root`'s inclusive time attributed to nested zones
   /// (1 - excl/incl): how much of a run the instrumentation actually
   /// explains.  The bench_sim_speed KPI asserts this >= 0.90 for the
-  /// sequential engine run.
+  /// sequential engine run.  Sampled child estimates can exceed the
+  /// parent (exclusive time clamps at 0), so this saturates at 1.0; the
+  /// KPI prints the unclamped child/parent ratio next to it.
   [[nodiscard]] double coverage(std::string_view root) const {
     const ZoneTotals t = totals(root);
     if (t.ns == 0) return 0.0;
@@ -213,8 +228,7 @@ class WallProfiler {
       for (std::size_t z = 0; z < t->stats.size() && z < agg.size(); ++z) {
         agg[z].count += t->stats[z].count;
         agg[z].ns += to_ns(t->stats[z].incl_ticks, npt);
-        agg[z].excl_ns +=
-            to_ns(t->stats[z].incl_ticks - t->stats[z].child_ticks, npt);
+        agg[z].excl_ns += to_ns(excl_ticks(t->stats[z]), npt);
       }
     }
     char name[96];
@@ -249,9 +263,11 @@ class WallProfiler {
   /// the one hot-path cost that is pure tracing, so only trace-producing
   /// harnesses turn it on (before the run: it resizes every registered
   /// thread's ring, so quiescent-only like the other read-side calls).
+  /// While it is on, every engine event is timed (no sampling).
   void set_slice_capacity(std::size_t cap) {
     const std::lock_guard<std::mutex> lock(mu_);
     slice_cap_ = cap;
+    every_event_.store(cap != 0, std::memory_order_relaxed);
     for (const auto& t : tables_) {
       t->ring.assign(cap, Slice{});
       t->ring_head = 0;
@@ -317,12 +333,31 @@ class WallProfiler {
 
  private:
   friend class WallZone;
+  friend class EventSample;
 
   struct ZoneStat {
     std::uint64_t count = 0;
     std::uint64_t incl_ticks = 0;
     std::uint64_t child_ticks = 0;
   };
+
+  /// Inclusive minus child time, clamped at 0: a sampled child estimate
+  /// may exceed its exactly timed parent.
+  [[nodiscard]] static std::uint64_t excl_ticks(const ZoneStat& s) {
+    return s.incl_ticks > s.child_ticks ? s.incl_ticks - s.child_ticks : 0;
+  }
+
+  /// Event-tier state of one thread: `skip` is set for the whole of an
+  /// event that is not timed, `weight` is what a zone closing now is
+  /// recorded at, `tick` counts the events begun on this thread.
+  /// Constant-initialized, so reading it is a plain thread-local load.
+  struct Sampling {
+    bool skip = false;
+    std::uint32_t weight = 1;
+    std::uint32_t tick = 0;
+  };
+  static thread_local Sampling sampling_;
+  static inline std::atomic<bool> every_event_{false};
 
   struct StackFrame {
     std::uint32_t zone = 0;
@@ -391,13 +426,56 @@ class WallProfiler {
   std::chrono::steady_clock::time_point epoch_wall_{};
 };
 
+inline thread_local WallProfiler::Sampling WallProfiler::sampling_{};
+
+/// Marks the scope of one engine event for the sampled zone tier:
+/// sim::Engine::step opens one around each dispatch, before its
+/// "engine.dispatch" zone.  One event in kEventSampleEvery per thread is
+/// timed, with every zone opened inside it recorded at that weight; the
+/// others set the thread's skip flag, so their zones record nothing.
+/// While the slice ring is on every event is timed at weight 1.  The
+/// destructor restores the state it found, so a callback that throws
+/// leaves no skip flag or weight behind, and a nested event inside a
+/// skipped one stays skipped.
+class EventSample {
+ public:
+  static constexpr std::uint32_t kEventSampleEvery = 64;
+
+  EventSample()
+      : saved_skip_(WallProfiler::sampling_.skip),
+        saved_weight_(WallProfiler::sampling_.weight) {
+    WallProfiler::Sampling& s = WallProfiler::sampling_;
+    if (s.skip) return;
+    if (WallProfiler::every_event_.load(std::memory_order_relaxed))
+      s.weight = 1;
+    else if (++s.tick % kEventSampleEvery != 0)
+      s.skip = true;
+    else
+      s.weight = kEventSampleEvery;
+  }
+
+  EventSample(const EventSample&) = delete;
+  EventSample& operator=(const EventSample&) = delete;
+
+  ~EventSample() {
+    WallProfiler::sampling_.skip = saved_skip_;
+    WallProfiler::sampling_.weight = saved_weight_;
+  }
+
+ private:
+  bool saved_skip_;
+  std::uint32_t saved_weight_;
+};
+
 /// RAII scoped zone.  Constructed with an interned zone id (see
 /// OMX_WALL_ZONE); destruction folds the occurrence into the thread's
-/// table and charges the inclusive time to the parent frame's child
-/// accumulator — the exact-exclusive-time invariant.
+/// table at the current EventSample weight and charges the inclusive time
+/// to the parent frame's child accumulator — the exclusive-time
+/// invariant.  Inside an event that is not timed it records nothing.
 class WallZone {
  public:
-  explicit WallZone(std::uint32_t zone) : table_(WallProfiler::tls()) {
+  explicit WallZone(std::uint32_t zone)
+      : table_(WallProfiler::sampling_.skip ? nullptr : WallProfiler::tls()) {
     if (!table_) return;
     table_->stack.push_back(
         {zone, WallProfiler::now_raw(), 0});
@@ -411,11 +489,12 @@ class WallZone {
     const std::uint64_t t1 = WallProfiler::now_raw();
     const WallProfiler::StackFrame f = table_->stack.back();
     table_->stack.pop_back();
-    const std::uint64_t incl = t1 - f.t0;
+    const std::uint64_t w = WallProfiler::sampling_.weight;
+    const std::uint64_t incl = w * (t1 - f.t0);
     if (f.zone >= table_->stats.size())
       table_->stats.resize(f.zone + 8);
     WallProfiler::ZoneStat& s = table_->stats[f.zone];
-    ++s.count;
+    s.count += w;
     s.incl_ticks += incl;
     s.child_ticks += f.child_ticks;
     if (table_->stack.empty())
@@ -444,8 +523,9 @@ class WallZone {
       ::openmx::obs::WallProfiler::intern(name);                       \
   const ::openmx::obs::WallZone zone_var { id_var }
 /// Opens a scoped wall-clock zone for the rest of the enclosing block.
-/// The name is interned once (function-local static); when the profiler
-/// is disabled at runtime the whole zone is one relaxed atomic load.
+/// The name is interned once (function-local static); inside an event
+/// that is not sampled the zone is one thread-local flag check, and when
+/// the profiler is disabled at runtime it adds one relaxed atomic load.
 /// A zone must not contain a sim::SimThread yield: a process is a fiber on
 /// the engine's thread, whose zone stack the engine and other fibers use.
 #define OMX_WALL_ZONE(name)                                            \

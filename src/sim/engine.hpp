@@ -144,8 +144,9 @@ class Engine {
 
   /// Runs events up to and including time `deadline`.  Events scheduled
   /// after the deadline remain queued.  Returns current virtual time.
+  /// No profiler zone of its own: the LP scheduler calls it once per LP
+  /// per window, inside its "lp.window_compute" zone.
   Time run_until(Time deadline) {
-    OMX_WALL_ZONE("engine.run");
     Time next;
     while (peek_next_when(next) && next <= deadline) step();
     if (now_ < deadline) now_ = deadline;
@@ -160,33 +161,30 @@ class Engine {
   /// callback, and the guard releases the slot even if the callback
   /// throws.
   bool step() {
-    // One zone per dispatched event, covering the queue pop, the callback
-    // and the slab release — so "engine.dispatch" time plus
-    // "engine.schedule" time is (nearly) the whole engine.run body, which
-    // is what makes the >=90 % wall-coverage KPI hold.
+    reap_cancelled();
+    if (heap_.empty()) return false;
+    // One "engine.dispatch" zone per dispatched event, covering the pop,
+    // the callback and the slab release.  The EventSample makes it, and
+    // every zone opened inside the callback, the sampled tier: one event
+    // in 64 is timed and recorded at weight 64, the rest record nothing
+    // (every event is timed while the slice ring is on).
+    const obs::EventSample sample;
     OMX_WALL_ZONE("engine.dispatch");
-    while (!heap_.empty()) {
-      const EventKey k = heap_.pop_min();
-      EventRecord* r = k.rec;
-      if (r->cancelled) {  // reap lazily
-        slab_.release(r);
-        continue;
-      }
-      --live_;
-      now_ = k.when;
-      ++dispatched_;
-      last_dispatch_when_ = k.when;
-      r->cancelled = true;
-      const ReleaseGuard guard{&slab_, r};
-      try {
-        r->fn();
-      } catch (...) {
-        panic("event callback threw");
-        throw;
-      }
-      return true;
+    const EventKey k = heap_.pop_min();
+    EventRecord* r = k.rec;
+    --live_;
+    now_ = k.when;
+    ++dispatched_;
+    last_dispatch_when_ = k.when;
+    r->cancelled = true;
+    const ReleaseGuard guard{&slab_, r};
+    try {
+      r->fn();
+    } catch (...) {
+      panic("event callback threw");
+      throw;
     }
-    return false;
+    return true;
   }
 
   /// Number of events still occupying a slab slot.  This includes

@@ -1,6 +1,7 @@
 // Protocol-level tests of the Open-MX driver: acknowledgment and
 // deduplication behaviour, retransmission counters, stale-handle
-// handling, event ordering, pull-block pipelining and wire accounting.
+// handling, event ordering, pull-block pipelining, wire accounting and
+// the header checksum.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -8,6 +9,7 @@
 
 #include "core/cluster.hpp"
 #include "core/endpoint.hpp"
+#include "core/wire.hpp"
 #include "tests/test_common.hpp"
 
 namespace sim = openmx::sim;
@@ -55,7 +57,80 @@ void simple_transfer(core::Cluster& cluster, std::size_t len,
   dst.resize(len);
 }
 
+/// Changing any one header field of a `Pkt` — the listed type-specific
+/// ones plus the common endpoints — changes core::pkt_checksum.
+template <typename Pkt>
+void expect_checksum_covers(std::vector<std::function<void(Pkt&)>> fields) {
+  Pkt pkt;
+  pkt.src_ep = 2;
+  pkt.dst_ep = 3;
+  const std::uint32_t base = core::pkt_checksum(pkt);
+  fields.push_back([](Pkt& p) { p.src_ep ^= 1; });
+  fields.push_back([](Pkt& p) { p.dst_ep ^= 1; });
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    Pkt changed = pkt;
+    fields[i](changed);
+    EXPECT_NE(core::pkt_checksum(changed), base)
+        << "field " << i << " of PktType " << static_cast<int>(pkt.type);
+  }
+}
+
+/// Rewriting or resizing a packet's payload bytes leaves its checksum
+/// unchanged: only the header is hashed.
+template <typename Pkt>
+void expect_checksum_ignores_payload() {
+  Pkt pkt;
+  pkt.data = pattern(8192);
+  const std::uint32_t base = core::pkt_checksum(pkt);
+  pkt.data = pattern(8192, 9);
+  EXPECT_EQ(core::pkt_checksum(pkt), base);
+  pkt.data.resize(100);
+  EXPECT_EQ(core::pkt_checksum(pkt), base);
+}
+
 }  // namespace
+
+TEST(Protocol, ChecksumCoversEveryHeaderFieldAndNoPayloadByte) {
+  expect_checksum_covers<core::EagerFragPkt>({
+      [](auto& p) { p.match_info ^= 1; },
+      [](auto& p) { p.msg_seq ^= 1; },
+      [](auto& p) { p.msg_len ^= 1; },
+      [](auto& p) { p.frag_idx ^= 1; },
+      [](auto& p) { p.frag_count ^= 1; },
+      [](auto& p) { p.offset ^= 1; },
+  });
+  expect_checksum_covers<core::RndvPkt>({
+      [](auto& p) { p.match_info ^= 1; },
+      [](auto& p) { p.msg_seq ^= 1; },
+      [](auto& p) { p.msg_len ^= 1; },
+      [](auto& p) { p.src_handle ^= 1; },
+  });
+  expect_checksum_covers<core::PullReqPkt>({
+      [](auto& p) { p.src_handle ^= 1; },
+      [](auto& p) { p.dst_handle ^= 1; },
+      [](auto& p) { p.frag_start ^= 1; },
+      [](auto& p) { p.frag_count ^= 1; },
+  });
+  expect_checksum_covers<core::PullReplyPkt>({
+      [](auto& p) { p.dst_handle ^= 1; },
+      [](auto& p) { p.frag_idx ^= 1; },
+      [](auto& p) { p.offset ^= 1; },
+  });
+  expect_checksum_covers<core::MsgAckPkt>({
+      [](auto& p) { p.msg_seq ^= 1; },
+  });
+  expect_checksum_covers<core::LargeAckPkt>({
+      [](auto& p) { p.src_handle ^= 1; },
+      [](auto& p) { p.msg_seq ^= 1; },
+      [](auto& p) { p.failed = !p.failed; },
+  });
+  expect_checksum_covers<core::NackPkt>({
+      [](auto& p) { p.msg_seq ^= 1; },
+      [](auto& p) { p.src_handle ^= 1; },
+  });
+  expect_checksum_ignores_payload<core::EagerFragPkt>();
+  expect_checksum_ignores_payload<core::PullReplyPkt>();
+}
 
 TEST(Protocol, EagerMessageIsAckedOnce) {
   Net2 f;

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "bench/common.hpp"
 #include "obs/registry.hpp"
 #include "obs/wallprof.hpp"
+#include "sim/engine.hpp"
 
 using namespace openmx;
 
@@ -213,6 +215,71 @@ TEST_F(WallProfTest, SimulatedProcessesRegisterNoThreadTables) {
   }
   EXPECT_GT(prof().totals("engine.schedule").count, 0u);
   EXPECT_EQ(prof().num_threads(), after_first);
+}
+
+// ---------------------------------------------------------------------
+// The sampled event tier
+// ---------------------------------------------------------------------
+
+constexpr std::uint64_t kEvery = obs::EventSample::kEventSampleEvery;
+
+TEST_F(WallProfTest, EventZonesAreSampledAtTheirWeight) {
+  // N consecutive events on one thread contain exactly N / kEvery timed
+  // ones, whatever the thread's phase; each records itself and the zone
+  // opened inside it at weight kEvery, so the estimates equal N.
+  constexpr std::uint64_t kEvents = 10 * kEvery;
+  sim::Engine e;
+  for (std::uint64_t i = 0; i < kEvents; ++i)
+    e.schedule(static_cast<sim::Time>(i), [] { OMX_WALL_ZONE("t.in_event"); });
+  e.run();
+  EXPECT_EQ(prof().totals("engine.dispatch").count, kEvents);
+  EXPECT_EQ(prof().totals("t.in_event").count, kEvents);
+  // engine.run is exact: one occurrence.  Its child estimate may exceed
+  // it, and then its exclusive time clamps at 0 instead of wrapping.
+  const auto run = prof().totals("engine.run");
+  EXPECT_EQ(run.count, 1u);
+  EXPECT_LE(run.excl_ns, run.ns);
+  EXPECT_LE(prof().coverage("engine.run"), 1.0);
+}
+
+TEST_F(WallProfTest, SliceRingTimesEveryEvent) {
+  prof().set_slice_capacity(64);
+  bench::Cluster cluster;
+  cluster.add_nodes(2, bench::cfg_omx_ioat());
+  prof().reset();
+  EXPECT_GT(bench::run_pingpong(cluster, 64 * sim::KiB, 2, /*warmup=*/1), 0);
+  EXPECT_EQ(prof().totals("engine.dispatch").count,
+            cluster.engine().events_dispatched());
+}
+
+TEST_F(WallProfTest, SampledDispatchCountEstimatesEventsDispatched) {
+  bench::Cluster cluster;
+  cluster.add_nodes(2, bench::cfg_omx_ioat());
+  prof().reset();
+  EXPECT_GT(bench::run_pingpong(cluster, sim::MiB, 2, /*warmup=*/1), 0);
+  const std::uint64_t count = prof().totals("engine.dispatch").count;
+  const auto events =
+      static_cast<double>(cluster.engine().events_dispatched());
+  EXPECT_EQ(count % kEvery, 0u);
+  EXPECT_GT(count, 0u);
+  EXPECT_NEAR(static_cast<double>(count), events, 0.10 * events);
+}
+
+TEST_F(WallProfTest, ThrowingEventLeavesNoSkipStateBehind) {
+  // 2 x kEvery consecutive throwing events unwind both skipped and timed
+  // events.  After each, a zone outside any event must record exactly
+  // once: a leaked skip flag would drop it, a leaked weight inflate it.
+  constexpr std::uint64_t kThrows = 2 * kEvery;
+  sim::Engine e;
+  for (std::uint64_t i = 0; i < kThrows; ++i)
+    e.schedule(static_cast<sim::Time>(i),
+               [] { throw std::runtime_error("event failed"); });
+  for (std::uint64_t i = 0; i < kThrows; ++i) {
+    EXPECT_THROW(e.step(), std::runtime_error);
+    OMX_WALL_ZONE("t.after_throw");
+  }
+  EXPECT_EQ(prof().totals("t.after_throw").count, kThrows);
+  EXPECT_EQ(prof().totals("engine.dispatch").count, kThrows);
 }
 
 TEST_F(WallProfTest, WallMetricsNeverLeakIntoDeterministicRegistry) {

@@ -14,9 +14,9 @@
 //
 // The metric set covers Fig. 3 (throughput without copy), Fig. 8
 // (I/OAT throughput + DMA/ingress overlap), Fig. 9 (receive-side CPU
-// and DMA utilization), Fig. 10 (intra-node shared memory), and the
-// latency-attribution blame fractions, so attribution drift fails the
-// build too.
+// and DMA utilization), Fig. 10 (intra-node shared memory), IMB
+// PingPong, and the latency-attribution blame fractions, so attribution
+// drift fails the build too.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -25,8 +25,9 @@
 #include <vector>
 
 #include "common.hpp"
-#include "flow_xval.hpp"
+#include "imb/imb.hpp"
 #include "lp_mesh.hpp"
+#include "mpi/world.hpp"
 #include "obs/attrib.hpp"
 #include "obs/wallprof.hpp"
 
@@ -94,17 +95,38 @@ double interleaved_ratio(int reps, Run run) {
   return secs[1] > 0 ? secs[0] / secs[1] : 0.0;
 }
 
+/// One-way time of IMB PingPong between two single-rank nodes: half the
+/// round trip rank 0 measures.
+sim::Time imb_pingpong_oneway(const core::OmxConfig& cfg, std::size_t bytes,
+                              int reps) {
+  core::Cluster cluster;
+  cluster.add_nodes(2, cfg);
+  mpi::World world(cluster, mpi::placements(2, 1));
+  sim::Time rtt = 0;
+  world.run([&](mpi::Comm& c) {
+    const sim::Time t = imb::run_test(c, imb::Test::PingPong, bytes, reps);
+    if (c.rank() == 0) rtt = t;
+  });
+  return rtt / 2;
+}
+
 std::vector<Metric> compute_metrics(bool enforce_floors) {
   std::vector<Metric> m;
   const std::size_t kM = sim::MiB;
   const std::size_t k256 = 256 * sim::KiB;
 
   // Fig. 3: large-message throughput, vanilla Open-MX vs. the
-  // no-copy/zero-copy upper bound.
+  // no-copy/zero-copy upper bound, whose curve is pinned at 256 kB, 1 MB
+  // and 4 MB.
   m.push_back({"fig03.omx_1MB_mibs",
                bench::pingpong_mibs(bench::cfg_omx(), kM, 4), 0.05});
   m.push_back({"fig03.nocopy_1MB_mibs",
                bench::pingpong_mibs(bench::cfg_omx_nocopy(), kM, 4), 0.05});
+  m.push_back({"fig03.nocopy_256kB_mibs",
+               bench::pingpong_mibs(bench::cfg_omx_nocopy(), k256, 6), 0.05});
+  m.push_back({"fig03.nocopy_4MB_mibs",
+               bench::pingpong_mibs(bench::cfg_omx_nocopy(), 4 * kM, 3),
+               0.05});
 
   // Fig. 8: I/OAT receive offload across the knee of the curve.
   m.push_back({"fig08.omx_256kB_mibs",
@@ -146,6 +168,13 @@ std::vector<Metric> compute_metrics(bool enforce_floors) {
        sim::mib_per_second(
            kM, bench::local_pingpong_oneway(bench::cfg_omx_ioat(), kM, 4,
                                             /*core_a=*/0, /*core_b=*/1)),
+       0.05});
+
+  // IMB PingPong at 1 MB: the no-copy packet path under the MPI layer.
+  m.push_back(
+      {"imb.nocopy_pingpong_1MB_mibs",
+       sim::mib_per_second(kM, imb_pingpong_oneway(bench::cfg_omx_nocopy(),
+                                                   kM, 4)),
        0.05});
 
   // Multi-LP engine: single-worker partitioned events/sec relative to
@@ -249,31 +278,6 @@ std::vector<Metric> compute_metrics(bool enforce_floors) {
     m.push_back({"obs.wallprof_overhead", ratio, 0.10});
   }
 
-  // Flow-model cross-validation: the fluid FlowNetwork against the
-  // exact packet engine on the same ping-pong curves.  Both sides are
-  // deterministic simulations, so these ratios are machine-independent
-  // and the bands can be tight; a committed value near 1.0 is the
-  // acceptance criterion that flow-level curves track the packet-level
-  // figure baselines.
-  {
-    const core::OmxConfig nc = bench::cfg_omx_nocopy();
-    const sim::Time ov = bench::flow_calibrate_pingpong(nc);
-    m.push_back({"xval.pingpong_256kB_ratio",
-                 bench::xval_pingpong_ratio(nc, k256, 6, ov), 0.05});
-    m.push_back({"xval.pingpong_1MB_ratio",
-                 bench::xval_pingpong_ratio(nc, kM, 4, ov), 0.05});
-    m.push_back({"xval.pingpong_4MB_ratio",
-                 bench::xval_pingpong_ratio(nc, 4 * kM, 3, ov), 0.05});
-    const sim::Time ov_imb = bench::flow_calibrate_imb(nc);
-    m.push_back({"xval.imb_pingpong_1MB_ratio",
-                 bench::xval_imb_ratio(nc, kM, 4, ov_imb), 0.05});
-    // Solver throughput, measured as an integer-derived invariant rather
-    // than wall clock: flow-visits per completed flow on the canonical
-    // disjoint-pair background workload.  Growth here means incremental
-    // re-solve stopped being O(component).
-    m.push_back({"flow.solver_visits_per_flow",
-                 bench::flow_solver_visits_per_flow(1024, 4), 0.25});
-  }
   return m;
 }
 

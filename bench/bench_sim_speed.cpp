@@ -6,11 +6,12 @@
 //
 // After the micro-benchmarks, main() measures the single-run scale-out
 // KPI: events/sec of an 8-node ring mesh on a one-LP Cluster vs. an
-// 8-LP Cluster at 1/2/4 workers, written to
+// 8-LP Cluster at 1/2/4 workers, median of 5 runs per mode, written to
 // BENCH_sim_speed_metrics.json (and guarded by bench_guard's
 // sim_speed.par_ratio_w1 row).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <functional>
@@ -84,8 +85,8 @@ static void BM_EngineNestedTimersStdFunction(benchmark::State& state) {
 BENCHMARK(BM_EngineNestedTimersStdFunction);
 
 namespace {
-// Driver-style timer churn: many concurrent flows, each rescheduling a
-// short-delay timer from its own callback.
+// Driver-style timer churn: many concurrent timers, each rescheduling
+// itself after a short delay from its own callback.
 struct ShortTick {
   sim::Engine* e;
   int* remaining;
@@ -97,12 +98,12 @@ struct ShortTick {
 }  // namespace
 
 static void BM_EngineShortTimersHeap(benchmark::State& state) {
-  constexpr int kFlows = 256;
+  constexpr int kTimers = 256;
   constexpr int kEvents = 16384;
   for (auto _ : state) {
     sim::Engine e;
     int remaining = kEvents;
-    for (int i = 0; i < kFlows; ++i)
+    for (int i = 0; i < kTimers; ++i)
       e.schedule(1 + i % 61, ShortTick{&e, &remaining, 1 + i % 61});
     e.run();
   }
@@ -196,20 +197,71 @@ BENCHMARK(BM_MultiLpRingMesh)->Arg(1)->Arg(2)->Arg(4);
 
 namespace {
 
+constexpr int kKpiSamples = 5;
+
+/// Median, min and max of one KPI mode's samples.
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return {v[v.size() / 2], v.front(), v.back()};
+}
+
+/// One KPI mode run kKpiSamples times back to back.
+struct ModeSamples {
+  std::uint64_t events = 0;  // deterministic: the same in every sample
+  Spread wall_ms, events_per_sec;
+};
+
+/// Only the first sample fills `sched_metrics` and writes `lp_trace`,
+/// so the exported scheduler counters describe one run.
+ModeSamples sample_mode(int nodes, int num_lps, unsigned workers, int iters,
+                        openmx::obs::Registry* sched_metrics = nullptr,
+                        const std::string& lp_trace = {}) {
+  ModeSamples out;
+  std::vector<double> wall_ms, eps;
+  for (int s = 0; s < kKpiSamples; ++s) {
+    const bench::SimSpeedPoint p =
+        bench::sim_speed(nodes, num_lps, workers, iters,
+                         s == 0 ? sched_metrics : nullptr,
+                         s == 0 ? lp_trace : std::string{});
+    out.events = p.events;
+    wall_ms.push_back(1e3 * p.wall_s);
+    eps.push_back(p.events_per_sec);
+  }
+  out.wall_ms = spread_of(wall_ms);
+  out.events_per_sec = spread_of(eps);
+  return out;
+}
+
+void print_mode(const char* mode, const ModeSamples& m) {
+  std::printf("%-14s %12llu %9.1f [%6.1f, %6.1f] %11.0f [%9.0f, %9.0f]",
+              mode, static_cast<unsigned long long>(m.events),
+              m.wall_ms.median, m.wall_ms.min, m.wall_ms.max,
+              m.events_per_sec.median, m.events_per_sec.min,
+              m.events_per_sec.max);
+}
+
 // The scale-out KPI: sequential vs. multi-LP events/sec on the fig12
 // ring mesh, recorded as counters so the JSON is machine-comparable.
-// The events-scheduled totals of every mode must agree (the determinism
-// suite asserts bit-identical results; this is the perf-side echo).
+// Each mode runs kKpiSamples times; the table prints the median with
+// [min, max] of wall time and events/sec, and the speedups and counters
+// use medians, because single runs of one mode swing widely on a loaded
+// host.  The events-scheduled totals of every mode must agree (the
+// determinism suite asserts bit-identical results; this is the
+// perf-side echo).
 //
-// The wall-clock self-profiler runs alongside: each mode is profiled in
-// isolation (reset between modes), the barrier share of multi-LP worker
-// time lands in the table, and the sequential mode asserts that the
-// instrumented zones explain >= 90 % of the engine-run wall time — the
-// coverage contract that makes "where does the wall time go" claims
-// trustworthy.  engine.dispatch is a sampled estimate that also carries
-// the cost of its own zones, so it can exceed engine.run, where coverage
-// saturates at 100 %; the dispatch/run column prints the unclamped ratio.
-// Zone totals go to a *separate*
+// The wall-clock self-profiler runs alongside: each mode's samples are
+// profiled in isolation (reset between modes), the barrier share of
+// multi-LP worker time lands in the table, and the sequential mode
+// asserts that the instrumented zones explain >= 90 % of the engine-run
+// wall time — the coverage contract that makes "where does the wall
+// time go" claims trustworthy.  engine.dispatch is a sampled estimate
+// that also carries the cost of its own zones, so it can exceed
+// engine.run, where coverage saturates at 100 %; the dispatch/run column
+// prints the unclamped ratio.  Zone totals go to a *separate*
 // BENCH_sim_speed_wall_metrics.json: wall numbers are nondeterministic
 // and must never mix into the deterministic metrics stream.
 void run_scaleout_kpi() {
@@ -220,7 +272,7 @@ void run_scaleout_kpi() {
   const bool prof_on = prof.enabled();
 
   prof.reset();
-  const bench::SimSpeedPoint seq = bench::sim_speed(kNodes, 1, 1, kIters);
+  const ModeSamples seq = sample_mode(kNodes, 1, 1, kIters);
   const double seq_coverage = prof.coverage("engine.run");
   const double run_ns = static_cast<double>(prof.totals("engine.run").ns);
   const double seq_dispatch_share =
@@ -228,14 +280,14 @@ void run_scaleout_kpi() {
           ? static_cast<double>(prof.totals("engine.dispatch").ns) / run_ns
           : 0;
   if (prof_on) prof.export_metrics(wall, "seq.");
-  std::printf("\n=== sim_speed scale-out KPI (%d-node ring, %d iters) ===\n",
-              kNodes, kIters);
-  std::printf("%-14s %14s %12s %12s %10s %10s %13s\n", "mode", "events/s",
-              "events", "wall[ms]", "barrier%", "coverage", "dispatch/run");
-  std::printf("%-14s %14.0f %12llu %12.1f %10s %9.1f%% %12.1f%%\n",
-              "sequential", seq.events_per_sec,
-              static_cast<unsigned long long>(seq.events), 1e3 * seq.wall_s,
-              "-", 100.0 * seq_coverage, 100.0 * seq_dispatch_share);
+  std::printf("\n=== sim_speed scale-out KPI (%d-node ring, %d iters, "
+              "median [min, max] of %d runs) ===\n",
+              kNodes, kIters, kKpiSamples);
+  std::printf("%-14s %12s %26s %34s %9s %9s %13s\n", "mode", "events",
+              "wall[ms]", "events/s", "barrier%", "coverage", "dispatch/run");
+  print_mode("sequential", seq);
+  std::printf(" %9s %8.1f%% %12.1f%%\n", "-", 100.0 * seq_coverage,
+              100.0 * seq_dispatch_share);
   if (prof_on && seq_coverage < 0.90) {
     std::fprintf(stderr,
                  "FAIL: wall zones cover %.1f%% of sequential engine-run "
@@ -248,7 +300,7 @@ void run_scaleout_kpi() {
   reg.counter("sim_speed.iters").add(static_cast<std::uint64_t>(kIters));
   reg.counter("sim_speed.events").add(seq.events);
   reg.counter("sim_speed.seq_events_per_sec")
-      .add(static_cast<std::uint64_t>(seq.events_per_sec));
+      .add(static_cast<std::uint64_t>(seq.events_per_sec.median));
   wall.counter("wall.coverage.seq_x1000")
       .add(static_cast<std::uint64_t>(1000.0 * seq_coverage));
 
@@ -261,8 +313,8 @@ void run_scaleout_kpi() {
     const std::string lp_trace =
         instrument ? bench::out_path("BENCH_sim_speed_lp_trace.json") : "";
     prof.reset();
-    const bench::SimSpeedPoint mlp = bench::sim_speed(
-        kNodes, kNodes, workers, kIters, instrument ? &reg : nullptr, lp_trace);
+    const ModeSamples mlp = sample_mode(kNodes, kNodes, workers, kIters,
+                                        instrument ? &reg : nullptr, lp_trace);
     // Barrier share: wall time in lp.barrier_wait over all workers'
     // top-level zone time — the scale-out tax the profiler was built to
     // expose (compute shrinks with workers, the barrier does not).
@@ -274,24 +326,23 @@ void run_scaleout_kpi() {
     if (prof_on) prof.export_metrics(wall, scope.c_str());
     if (instrument)
       std::printf("per-LP scheduler timeline: %s\n", lp_trace.c_str());
-    const double speedup =
-        seq.wall_s > 0 && mlp.wall_s > 0 ? seq.wall_s / mlp.wall_s : 0;
-    std::printf(
-        "%-14s %14.0f %12llu %12.1f %9.1f%% %10s %13s   speedup %.2fx\n",
-        ("multi-lp w" + std::to_string(workers)).c_str(), mlp.events_per_sec,
-        static_cast<unsigned long long>(mlp.events), 1e3 * mlp.wall_s,
-        100.0 * bshare, "-", "-", speedup);
+    const double speedup = mlp.wall_ms.median > 0
+                               ? seq.wall_ms.median / mlp.wall_ms.median
+                               : 0;
+    print_mode(("multi-lp w" + std::to_string(workers)).c_str(), mlp);
+    std::printf(" %8.1f%% %9s %13s   speedup %.2fx\n", 100.0 * bshare, "-",
+                "-", speedup);
     const std::string prefix = "sim_speed.mlp_w" + std::to_string(workers);
     reg.counter(prefix + "_events_per_sec")
-        .add(static_cast<std::uint64_t>(mlp.events_per_sec));
+        .add(static_cast<std::uint64_t>(mlp.events_per_sec.median));
     reg.counter(prefix + "_speedup_x1000")
         .add(static_cast<std::uint64_t>(1000.0 * speedup));
     wall.counter("wall.barrier_share.w" + std::to_string(workers) + "_x1000")
         .add(static_cast<std::uint64_t>(1000.0 * bshare));
     if (workers == 4) w4_speedup = speedup;
   }
-  std::printf("4-worker speedup over sequential: %.2fx (on %u hardware "
-              "threads)\n",
+  std::printf("4-worker median speedup over sequential: %.2fx (on %u "
+              "hardware threads)\n",
               w4_speedup, std::thread::hardware_concurrency());
   reg.counter("sim_speed.hardware_threads")
       .add(std::thread::hardware_concurrency());

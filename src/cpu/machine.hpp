@@ -192,10 +192,16 @@ class Machine {
     engine_.timeline().record(track_base_ + core,
                               static_cast<std::uint8_t>(item.cat),
                               engine_.now(), r.cost);
-    engine_.schedule(r.cost, [this, core, done = std::move(r.done)] {
+    // Every bottom-half task and thread_advance completes through this
+    // closure ({this, core, std::function} is exactly 48 bytes), so it
+    // must stay inside EventFn's inline buffer.
+    auto complete = [this, core, done = std::move(r.done)] {
       if (done) done();
       start_next(core);
-    });
+    };
+    static_assert(sim::EventFn::fits_inline<decltype(complete)>(),
+                  "the per-task completion closure must not heap-allocate");
+    engine_.schedule(r.cost, std::move(complete));
   }
 
   sim::Engine& engine_;

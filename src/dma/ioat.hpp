@@ -5,6 +5,7 @@
 #include <deque>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -145,7 +146,11 @@ class IoatEngine {
     }
     engine_.timeline().record(track_base_ + chan, obs::kCatDma, start,
                               done - start);
-    engine_.schedule_at(done, [this, chan] { complete_next(chan); });
+    auto complete = [this, chan] { complete_next(chan); };
+    static_assert(sim::EventFn::fits_inline<decltype(complete)>(),
+                  "the per-descriptor completion closure must not "
+                  "heap-allocate");
+    engine_.schedule_at(done, std::move(complete));
     return cookie;
   }
 

@@ -23,8 +23,8 @@ struct Counter {
   void reset() { value = 0; }
 };
 
-/// One named level gauge: a value that goes up and down (active flows,
-/// ring occupancy), with its high-water mark tracked on every update.
+/// One named level gauge: a value that goes up and down (ring occupancy,
+/// LP inbox depth), with its high-water mark tracked on every update.
 /// Counters are monotone and merge by addition; gauges are instantaneous
 /// and merge by taking the componentwise maximum — summing two shards'
 /// peaks would overstate a level neither shard ever saw.

@@ -25,24 +25,18 @@ class Engine;
 /// fall back to one heap allocation.
 using EventFn = InlineFn<48>;
 
-/// Sub-timestamp dispatch band.
+/// Sub-timestamp dispatch band: kClaim events fire before every kNormal
+/// event at the same timestamp, whatever the schedule order.
 ///
 /// Events at the same instant normally fire in schedule order (FIFO), but
 /// that order is a *global* property of one engine — it cannot survive
 /// partitioning the simulation into logical processes, where each LP
-/// assigns its own sequence numbers.  Resource-claim events (the network's
-/// rx-port claims) therefore run in a dedicated band that fires before all
-/// normal events at the same timestamp, and order claims among themselves
-/// by an explicit location-independent key (see net::Network's claim
-/// heaps).  With claims lifted out of FIFO tie-breaking, a partitioned
-/// run dispatches bit-identically to the single-engine run.
-///
-/// kFlow sits between claims and normal events: the fluid network's
-/// flow-completion events fire there, so any normal event at the same
-/// nanosecond observes post-completion fair-share rates (and, like
-/// claims, completions keep a location-independent identity — the flow
-/// id — when the fluid fabric is sharded across LPs).
-enum class Band : std::uint8_t { kClaim = 0, kFlow = 1, kNormal = 2 };
+/// assigns its own sequence numbers.  The network's rx-port claims
+/// therefore run in the kClaim band and order themselves by an explicit
+/// location-independent key (see net::Network's claim heaps).  With
+/// claims lifted out of FIFO tie-breaking, a partitioned run dispatches
+/// bit-identically to the single-engine run.  Everything else is kNormal.
+enum class Band : std::uint8_t { kClaim = 0, kNormal = 1 };
 
 /// Handle to a scheduled event that may be cancelled before it fires.
 ///
@@ -120,16 +114,9 @@ class Engine {
   /// Schedules a cancellable event; see EventHandle.
   template <typename F>
   EventHandle schedule_cancellable(Time delay, F&& fn) {
-    return schedule_cancellable(delay, Band::kNormal, std::forward<F>(fn));
-  }
-
-  /// Band-explicit cancellable variant (the fluid network reschedules its
-  /// Band::kFlow completion events whenever fair-share rates change).
-  template <typename F>
-  EventHandle schedule_cancellable(Time delay, Band band, F&& fn) {
     const Time when = now_ + delay;
     if (when < now_) throw std::logic_error("Engine: scheduling in the past");
-    EventRecord* rec = push_event(when, band, std::forward<F>(fn));
+    EventRecord* rec = push_event(when, Band::kNormal, std::forward<F>(fn));
     return EventHandle{this, rec, rec->gen};
   }
 

@@ -600,6 +600,17 @@ TEST(Registry, ClusterMergeIsWorkerCountInvariant) {
 // Gauge merge semantics across LP shards
 // ---------------------------------------------------------------------
 
+// A gauge's high-water mark survives the value falling back: the
+// lp.max_inbox_depth export reads the peak, not the current level.
+TEST(Registry, GaugeKeepsPeakAfterValueFalls) {
+  obs::Registry r;
+  obs::Gauge& g = r.gauge("ring.occupancy");
+  g.set(3);
+  g.set(0);
+  EXPECT_EQ(g.value, 0);
+  EXPECT_EQ(g.peak, 3);
+}
+
 // Gauges are instantaneous (ring occupancy, inbox depth): folding two
 // shards must take the componentwise peak, never the sum — two LPs each
 // holding 5 slots is a peak of 5, not a phantom 10.
@@ -614,6 +625,7 @@ TEST(Registry, GaugeMergeTakesPeakNotSum) {
   merged.merge(a);
   merged.merge(b);
   EXPECT_EQ(merged.gauge("lp.max_inbox_depth").value, 5);
+  EXPECT_EQ(merged.gauge("lp.max_inbox_depth").peak, 5);
   EXPECT_EQ(merged.get("lp.windows"), 18u);  // counters still add
 
   // Peak semantics make the fold order irrelevant for gauges too.

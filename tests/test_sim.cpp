@@ -563,23 +563,6 @@ TEST(Engine, ClaimBandFiresBeforeNormalAtSameTimestamp) {
   EXPECT_EQ(order, (std::vector<int>{0, -1, 1, 2}));
 }
 
-TEST(Engine, BandOrderIsClaimThenFlowThenNormal) {
-  // The fluid network's completion events run in the kFlow band: after
-  // every claim (port arbitration settles first) but before any normal
-  // event at the same nanosecond, so same-time normal events observe
-  // post-completion fair-share rates.
-  sim::Engine e;
-  std::vector<int> order;
-  e.schedule_at(10, [&] { order.push_back(3); });
-  e.schedule_at(10, sim::Band::kFlow, [&] { order.push_back(2); });
-  e.schedule_at(10, sim::Band::kClaim, [&] { order.push_back(1); });
-  e.schedule_at(10, sim::Band::kFlow, [&] { order.push_back(20); });
-  e.schedule_at(10, [&] { order.push_back(30); });
-  e.run();
-  // Bands in enum order; FIFO within each band.
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 20, 3, 30}));
-}
-
 TEST(Engine, BandPackingHoldsAtHighEventCounts) {
   // The band lives in the top bits of the queue key's seq field; the
   // FIFO counter occupies the low bits.  After hundreds of thousands of
@@ -594,19 +577,21 @@ TEST(Engine, BandPackingHoldsAtHighEventCounts) {
   EXPECT_EQ(fired, static_cast<std::uint64_t>(kBulk));
   EXPECT_EQ(e.events_scheduled(), static_cast<std::uint64_t>(kBulk));
 
+  // Claims first (FIFO among themselves), then normal events FIFO,
+  // whatever the schedule order.
   std::vector<int> order;
   const sim::Time when = e.now() + 10;
+  e.schedule_at(when, [&] { order.push_back(1); });
+  e.schedule_at(when, sim::Band::kClaim, [&] { order.push_back(-2); });
   e.schedule_at(when, [&] { order.push_back(2); });
-  e.schedule_at(when, sim::Band::kFlow, [&] { order.push_back(1); });
-  e.schedule_at(when, sim::Band::kClaim, [&] { order.push_back(0); });
-  e.schedule_at(when, [&] { order.push_back(3); });
   e.schedule_at(when, sim::Band::kClaim, [&] { order.push_back(-1); });
+  e.schedule_at(when, [&] { order.push_back(3); });
   e.run();
-  EXPECT_EQ(order, (std::vector<int>{0, -1, 1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<int>{-2, -1, 1, 2, 3}));
   EXPECT_EQ(e.events_scheduled(), static_cast<std::uint64_t>(kBulk) + 5);
 
-  // A cancellable flow-band event at high seq still cancels cleanly.
-  auto h = e.schedule_cancellable(5, sim::Band::kFlow, [&] { ++fired; });
+  // A cancellable event at high seq still cancels cleanly.
+  auto h = e.schedule_cancellable(5, [&] { ++fired; });
   EXPECT_TRUE(h.pending());
   h.cancel();
   e.run();

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
@@ -216,8 +217,11 @@ struct ModeSamples {
 };
 
 /// Only the first sample fills `sched_metrics` and writes `lp_trace`,
-/// so the exported scheduler counters describe one run.
-ModeSamples sample_mode(int nodes, int num_lps, unsigned workers, int iters,
+/// so the exported scheduler counters describe one run.  Every sample
+/// must schedule `want_events` events (0: the first sample sets it, as
+/// the sequential mode does); otherwise the KPI exits 1 naming `mode`.
+ModeSamples sample_mode(const std::string& mode, std::uint64_t want_events,
+                        int nodes, int num_lps, unsigned workers, int iters,
                         openmx::obs::Registry* sched_metrics = nullptr,
                         const std::string& lp_trace = {}) {
   ModeSamples out;
@@ -227,6 +231,15 @@ ModeSamples sample_mode(int nodes, int num_lps, unsigned workers, int iters,
         bench::sim_speed(nodes, num_lps, workers, iters,
                          s == 0 ? sched_metrics : nullptr,
                          s == 0 ? lp_trace : std::string{});
+    if (want_events == 0) want_events = p.events;
+    if (p.events != want_events) {
+      std::fprintf(stderr,
+                   "FAIL: %s sample %d scheduled %llu events, sequential "
+                   "scheduled %llu\n",
+                   mode.c_str(), s, static_cast<unsigned long long>(p.events),
+                   static_cast<unsigned long long>(want_events));
+      std::exit(1);
+    }
     out.events = p.events;
     wall_ms.push_back(1e3 * p.wall_s);
     eps.push_back(p.events_per_sec);
@@ -249,7 +262,8 @@ void print_mode(const char* mode, const ModeSamples& m) {
 // Each mode runs kKpiSamples times; the table prints the median with
 // [min, max] of wall time and events/sec, and the speedups and counters
 // use medians, because single runs of one mode swing widely on a loaded
-// host.  The events-scheduled totals of every mode must agree (the
+// host.  Every sample of every mode must schedule as many events as the
+// first sequential sample, or the KPI exits 1 naming the mode (the
 // determinism suite asserts bit-identical results; this is the
 // perf-side echo).
 //
@@ -272,7 +286,7 @@ void run_scaleout_kpi() {
   const bool prof_on = prof.enabled();
 
   prof.reset();
-  const ModeSamples seq = sample_mode(kNodes, 1, 1, kIters);
+  const ModeSamples seq = sample_mode("sequential", 0, kNodes, 1, 1, kIters);
   const double seq_coverage = prof.coverage("engine.run");
   const double run_ns = static_cast<double>(prof.totals("engine.run").ns);
   const double seq_dispatch_share =
@@ -313,8 +327,10 @@ void run_scaleout_kpi() {
     const std::string lp_trace =
         instrument ? bench::out_path("BENCH_sim_speed_lp_trace.json") : "";
     prof.reset();
-    const ModeSamples mlp = sample_mode(kNodes, kNodes, workers, kIters,
-                                        instrument ? &reg : nullptr, lp_trace);
+    const std::string mode = "multi-lp w" + std::to_string(workers);
+    const ModeSamples mlp =
+        sample_mode(mode, seq.events, kNodes, kNodes, workers, kIters,
+                    instrument ? &reg : nullptr, lp_trace);
     // Barrier share: wall time in lp.barrier_wait over all workers'
     // top-level zone time — the scale-out tax the profiler was built to
     // expose (compute shrinks with workers, the barrier does not).
@@ -329,7 +345,7 @@ void run_scaleout_kpi() {
     const double speedup = mlp.wall_ms.median > 0
                                ? seq.wall_ms.median / mlp.wall_ms.median
                                : 0;
-    print_mode(("multi-lp w" + std::to_string(workers)).c_str(), mlp);
+    print_mode(mode.c_str(), mlp);
     std::printf(" %8.1f%% %9s %13s   speedup %.2fx\n", 100.0 * bshare, "-",
                 "-", speedup);
     const std::string prefix = "sim_speed.mlp_w" + std::to_string(workers);

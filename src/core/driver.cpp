@@ -567,25 +567,19 @@ void Driver::arm_block_timer(PullHandle& h) {
                         p.handle, p.len, node_.id());
           node_.engine().panic(why);
           counters_.add("driver.aborted_pulls");
-          Event ev;
-          ev.type = EvType::LargeRecvDone;
-          ev.request_id = p.request_id;
-          ev.msg_len = static_cast<std::uint32_t>(p.len);
-          ev.failed = true;
-          DriverEndpoint* ep2 = p.ep;
-          auto& flow2 = ep2->rx_flows_[flow_key(p.src)];
-          flow2.aborted.insert(p.msg_seq);
-          flow2.known_rndv.erase(p.msg_seq);
-          // Best-effort notification; the sender's re-announcements pick
-          // up a failed LargeAck from the aborted set if this one is lost.
-          auto ack = std::make_shared<LargeAckPkt>();
-          ack->src_handle = p.src_handle;
-          ack->msg_seq = p.msg_seq;
-          ack->failed = true;
-          transmit(ep2->addr(), p.src, std::move(ack), 0);
-          for (PendingSkb& ps : p.pending) ps.skb.release();
+          // Late fragments of the aborted pull are ignored from now on,
+          // but descriptors already queued still run their copies when
+          // they complete: they read the sender's pages and write the
+          // receive buffer.  So the failure is reported only after the
+          // last of them, when neither buffer is touched again.
+          const sim::Time drain = drain_time(p);
+          std::unique_ptr<PullHandle> dead = std::move(it->second);
           pulls_.erase(it);
-          push_event(*ep2, std::move(ev));
+          if (drain > node_.engine().now())
+            node_.engine().schedule_at(
+                drain, [this, dead = std::move(dead)] { fail_pull(*dead); });
+          else
+            fail_pull(*dead);
           return;
         }
         counters_.add("driver.pull_retransmits");
@@ -621,6 +615,34 @@ void Driver::arm_block_timer(PullHandle& h) {
       });
 }
 
+void Driver::fail_pull(PullHandle& p) {
+  for (PendingSkb& ps : p.pending) ps.skb.release();
+  DriverEndpoint* ep = p.ep;
+  auto& flow = ep->rx_flows_[flow_key(p.src)];
+  flow.aborted.insert(p.msg_seq);
+  flow.known_rndv.erase(p.msg_seq);
+  // Best-effort notification; the sender's re-announcements pick up a
+  // failed LargeAck from the aborted set if this one is lost.
+  auto ack = std::make_shared<LargeAckPkt>();
+  ack->src_handle = p.src_handle;
+  ack->msg_seq = p.msg_seq;
+  ack->failed = true;
+  transmit(ep->addr(), p.src, std::move(ack), 0);
+  Event ev;
+  ev.type = EvType::LargeRecvDone;
+  ev.request_id = p.request_id;
+  ev.msg_len = static_cast<std::uint32_t>(p.len);
+  ev.failed = true;
+  push_event(*ep, std::move(ev));
+}
+
+sim::Time Driver::drain_time(const PullHandle& h) {
+  sim::Time t = node_.engine().now();
+  for (const PendingSkb& ps : h.pending)
+    t = std::max(t, node_.ioat().cookie_done_time(ps.chan, ps.cookie));
+  return t;
+}
+
 void Driver::cleanup_pull(PullHandle& h) {
   if (h.pending.empty()) return;
   c_cleanup_runs_->add();
@@ -630,14 +652,16 @@ void Driver::cleanup_pull(PullHandle& h) {
     while (it != h.pending.end()) {
       if (it->chan == chan && it->cookie <= done) {
         // A descriptor of this fragment completed with error status: the
-        // bytes never moved, so redo the copy with the CPU before the
-        // skbuff (the only remaining copy of the data) is released.
+        // bytes never moved, so redo the copy with the CPU from the reply's
+        // bytes.  They are still readable: the pull is live, so the sender
+        // has had no LargeAck and keeps its pages pinned, and a gathered
+        // fragment lives in the skbuff released just below.
         if (it->first_cookie &&
             node_.ioat().range_failed(chan, it->first_cookie, it->cookie)) {
           const auto& rp = it->skb.as<PullReplyPkt>();
-          h.segs.write(rp.offset, rp.data.data(), rp.data.size());
+          h.segs.write(rp.offset, rp.bytes(), rp.length);
           c_dma_faults_->add();
-          c_dma_fallback_bytes_->add(rp.data.size());
+          c_dma_fallback_bytes_->add(rp.length);
         }
         it->skb.release();
         it = h.pending.erase(it);
@@ -939,7 +963,17 @@ void Driver::bh_pull_req(BhCtx& ctx, net::Skbuff& skb) {
   r.last_activity = node_.engine().now();
 
   // Servicing a block: attach the user pages to reply skbuffs and hand
-  // them to the NIC — zero-copy on the send side (Section II-A).
+  // them to the NIC — zero-copy on the send side (Section II-A).  A reply
+  // carries a pointer into the pinned send region; only a fragment that
+  // straddles an isendv segment boundary is gathered into its own bytes,
+  // standing in for the NIC's gather DMA (the receive skbuff is
+  // contiguous).  The pointer stays valid for as long as the receiver can
+  // read it: the receiver reads a reply only while its pull is live (a
+  // pulls_ lookup on a never-reused handle, then the got[] bit), and it
+  // sends the LargeAck that releases this region only after the pull's
+  // last copy effect or I/OAT drain — on an abort, after the last queued
+  // descriptor completes.  A Nack comes only from a node without the
+  // endpoint, which never pulls.
   const std::size_t frag = config_.frag_payload;
   ctx.cost += config_.native_mx
                   ? costs.mx_bh_ns
@@ -963,8 +997,12 @@ void Driver::bh_pull_req(BhCtx& ctx, net::Skbuff& skb) {
       rep->dst_handle = dst_handle;
       rep->frag_idx = start + i;
       rep->offset = static_cast<std::uint32_t>(off);
-      rep->data.resize(n);
-      segs.read(off, rep->data.data(), n);
+      rep->length = static_cast<std::uint32_t>(n);
+      rep->pages = segs.contiguous(off, n);
+      if (!rep->pages) {
+        rep->data.resize(n);
+        segs.read(off, rep->data.data(), n);
+      }
       transmit(ep_addr, dst, std::move(rep), n);
       c_pull_replies_->add();
     }
@@ -980,6 +1018,7 @@ void Driver::bh_pull_reply(BhCtx& ctx, net::Skbuff& skb) {
   auto it = pulls_.find(pkt.dst_handle);
   if (it == pulls_.end()) return;  // stale/duplicate after completion
   PullHandle& h = *it->second;
+  const std::uint32_t handle = h.handle;
   if (pkt.frag_idx >= h.frag_count || h.got[pkt.frag_idx]) return;
   h.got[pkt.frag_idx] = true;
   ++h.received;
@@ -1001,9 +1040,9 @@ void Driver::bh_pull_reply(BhCtx& ctx, net::Skbuff& skb) {
     });
   }
 
-  const std::size_t n = pkt.data.size();
+  const std::size_t n = pkt.length;
   const std::size_t dst_off = pkt.offset;
-  const std::uint8_t* src_bytes = pkt.data.data();
+  const std::uint8_t* src_bytes = pkt.bytes();
   const int bh_core = node_.nic().bh_core();
 
   // Vectorial receive buffers split this fragment at segment boundaries;
@@ -1078,10 +1117,14 @@ void Driver::bh_pull_reply(BhCtx& ctx, net::Skbuff& skb) {
           spans.add(skey, obs::Wait::BusStall, copy_cost - exec);
       }
       net::Skbuff skb_copy = skb;
-      const SegList segs = h.segs;
-      ctx.effect([segs, dst_off, src_bytes, n, skb_copy, this, bh_core,
+      ctx.effect([handle, dst_off, src_bytes, n, skb_copy, this, bh_core,
                   span_on, skey]() mutable {
         OMX_WALL_ZONE("driver.copy");
+        // Copy only into a live pull: an abort may have fired while this
+        // handler's time elapsed, and then neither buffer may be touched.
+        auto live = pulls_.find(handle);
+        if (live == pulls_.end()) return;
+        const SegList& segs = live->second->segs;
         segs.write(dst_off, src_bytes, n);
         segs.for_pieces(dst_off, n, [&](std::uint8_t* dp, std::size_t len) {
           node_.cache_for_core(bh_core).touch(dp, len);
@@ -1098,9 +1141,9 @@ void Driver::bh_pull_reply(BhCtx& ctx, net::Skbuff& skb) {
   } else if (n > 0) {
     // Prediction mode / native MX: the data is placed without CPU cost.
     net::Skbuff skb_copy = skb;
-    const SegList segs = h.segs;
-    ctx.effect([segs, dst_off, src_bytes, n, skb_copy]() mutable {
-      segs.write(dst_off, src_bytes, n);
+    ctx.effect([this, handle, dst_off, src_bytes, n, skb_copy]() mutable {
+      auto live = pulls_.find(handle);
+      if (live != pulls_.end()) live->second->segs.write(dst_off, src_bytes, n);
       skb_copy.release();
     });
   }
@@ -1124,7 +1167,6 @@ void Driver::bh_pull_reply(BhCtx& ctx, net::Skbuff& skb) {
     ctx.cost += costs.skb_alloc_ns + costs.tx_doorbell_ns;
     spans.add(skey, obs::Wait::BhExec,
               costs.skb_alloc_ns + costs.tx_doorbell_ns);
-    const std::uint32_t handle = h.handle;
     ctx.effect([this, handle, next] {
       auto it2 = pulls_.find(handle);
       if (it2 == pulls_.end()) return;
@@ -1161,9 +1203,7 @@ void Driver::finish_pull(BhCtx& ctx, PullHandle& h) {
   const std::uint64_t skey = obs::span_key(node_.id(), h.handle);
   if (!h.pending.empty()) {
     auto& ioat = node_.ioat();
-    sim::Time drain = node_.engine().now();
-    for (const PendingSkb& p : h.pending)
-      drain = std::max(drain, ioat.cookie_done_time(p.chan, p.cookie));
+    const sim::Time drain = drain_time(h);
     const sim::Time busy_until = node_.engine().now() + ctx.cost;
     if (drain > busy_until) {
       ctx.cost += drain - busy_until;
@@ -1183,7 +1223,7 @@ void Driver::finish_pull(BhCtx& ctx, PullHandle& h) {
     for (const PendingSkb& p : h.pending) {
       if (p.first_cookie &&
           ioat.range_failed(p.chan, p.first_cookie, p.cookie)) {
-        const std::size_t flen = p.skb.as<PullReplyPkt>().data.size();
+        const std::size_t flen = p.skb.as<PullReplyPkt>().length;
         const sim::Time fb = bh_copy_cost(flen, flen);
         ctx.cost += fb;
         spans.add(skey, obs::Wait::MemcpyExec, fb);
@@ -1207,7 +1247,7 @@ void Driver::finish_pull(BhCtx& ctx, PullHandle& h) {
       if (ps.first_cookie &&
           node_.ioat().range_failed(ps.chan, ps.first_cookie, ps.cookie)) {
         const auto& rp = ps.skb.as<PullReplyPkt>();
-        p.segs.write(rp.offset, rp.data.data(), rp.data.size());
+        p.segs.write(rp.offset, rp.bytes(), rp.length);
       }
       ps.skb.release();
     }

@@ -258,6 +258,12 @@ class Driver {
   void send_eager_frags(const EagerTx& t);
   void cleanup_pull(PullHandle& h);
   void finish_pull(BhCtx& ctx, PullHandle& h);
+  /// Reports an aborted pull: releases its skbuffs, records the abort for
+  /// the flow and sends the failed LargeAck and LargeRecvDone.
+  void fail_pull(PullHandle& p);
+  /// When the last of `h`'s queued I/OAT descriptors completes (now if
+  /// none is queued).
+  [[nodiscard]] sim::Time drain_time(const PullHandle& h);
   std::uint64_t flow_key(Addr a) const {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.node))
             << 16) |

@@ -84,6 +84,17 @@ class SegList {
     return got;
   }
 
+  /// Address of [offset, offset+n) if that range lies inside one segment,
+  /// else nullptr (the range straddles a segment boundary or the end).
+  [[nodiscard]] std::uint8_t* contiguous(std::size_t offset,
+                                         std::size_t n) const {
+    for (const IoVec& s : segs_) {
+      if (offset < s.len) return n <= s.len - offset ? s.base + offset : nullptr;
+      offset -= s.len;
+    }
+    return nullptr;
+  }
+
   /// Length of the smallest contiguous piece in [offset, offset+n); the
   /// offload-threshold check compares this against ioat_min_frag.
   [[nodiscard]] std::size_t min_piece(std::size_t offset,

@@ -74,12 +74,27 @@ struct PullReqPkt : OmxPkt {
 };
 
 /// One large-message fragment flowing back to the receiver.
+///
+/// The send side is zero-copy (Section II-A): the driver attaches the
+/// pinned user pages to the reply skbuff, so `pages` points straight into
+/// the sender's send region whenever the fragment is one contiguous piece
+/// of it.  Only a fragment that straddles an isendv segment boundary is
+/// gathered into `data`, standing in for the NIC's gather DMA.  The
+/// receiver reads the bytes only while its pull is live, and the sender
+/// keeps the region pinned until the pull's LargeAck or a Nack (DESIGN §3).
 struct PullReplyPkt : OmxPkt {
   PullReplyPkt() : OmxPkt(PktType::PullReply) {}
   std::uint32_t dst_handle = 0;
   std::uint32_t frag_idx = 0;
   std::uint32_t offset = 0;
+  std::uint32_t length = 0;
+  const std::uint8_t* pages = nullptr;
   std::vector<std::uint8_t> data;
+
+  /// The fragment's `length` bytes, wherever they live.
+  [[nodiscard]] const std::uint8_t* bytes() const {
+    return pages ? pages : data.data();
+  }
 };
 
 /// Acknowledgment of a completed eager message (reliability).
@@ -110,23 +125,19 @@ inline std::size_t wire_bytes_for(std::size_t data_bytes) {
   return kOmxHeaderBytes + data_bytes;
 }
 
-/// Wire checksum: FNV-1a over the OMX header fields of `pkt`, not its
-/// payload bytes.  The sender stamps it into net::Frame::csum; the
-/// receiver recomputes and discards on mismatch, which is how injected
-/// wire corruption is detected and turned into an ordinary
-/// retransmission.  Payloads are shared and immutable, and corruption is
-/// modeled by flipping the carried checksum (net::Network::transmit), so
-/// hashing the data bytes could detect nothing more; payload integrity is
-/// the soak's byte-exact delivery check.  The cost is 8 multiplies per
-/// header field, independent of the fragment size.
+/// Wire checksum: 64-bit FNV-1a over the OMX header fields of `pkt`, not
+/// its payload bytes, folded to 32 bits.  The sender stamps it into
+/// net::Frame::csum; the receiver recomputes and discards on mismatch,
+/// which is how injected wire corruption is detected and turned into an
+/// ordinary retransmission.  Payloads are shared and immutable, and
+/// corruption is modeled by flipping the carried checksum
+/// (net::Network::transmit), so hashing the data bytes could detect
+/// nothing more; payload integrity is the soak's byte-exact delivery
+/// check.  Each header field is mixed in one xor-multiply step, so the
+/// cost is one multiply per field, independent of the fragment size.
 inline std::uint32_t pkt_checksum(const OmxPkt& pkt) {
-  std::uint32_t h = 0x811c9dc5u;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint8_t>(v >> (8 * i));
-      h *= 0x01000193u;
-    }
-  };
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
   mix(static_cast<std::uint64_t>(pkt.type));
   mix(pkt.src_ep);
   mix(pkt.dst_ep);
@@ -162,6 +173,7 @@ inline std::uint32_t pkt_checksum(const OmxPkt& pkt) {
       mix(p.dst_handle);
       mix(p.frag_idx);
       mix(p.offset);
+      mix(p.length);
       break;
     }
     case PktType::MsgAck:
@@ -181,8 +193,9 @@ inline std::uint32_t pkt_checksum(const OmxPkt& pkt) {
       break;
     }
   }
+  const auto folded = static_cast<std::uint32_t>(h ^ (h >> 32));
   // 0 means "no checksum"; remap the (1-in-4-billion) real zero.
-  return h ? h : 1u;
+  return folded ? folded : 1u;
 }
 
 }  // namespace openmx::core

@@ -6,6 +6,28 @@ namespace openmx::imb {
 
 namespace {
 
+/// A page-aligned kernel buffer left default-initialized.  IMB never
+/// looks at the bytes it moves, so zero-filling them (as mem::Buffer's
+/// value-initialization does) would only add memset traffic, and a send
+/// buffer that is never written stays on the zero page.  It allocates
+/// through mem::PageAlignedAllocator, so it gets the address a
+/// mem::Buffer of the same size would, and the cache and registration
+/// models see the same pages.
+class KernelBuf {
+ public:
+  explicit KernelBuf(std::size_t n) : n_(n), p_(Alloc().allocate(n)) {}
+  ~KernelBuf() { Alloc().deallocate(p_, n_); }
+  KernelBuf(const KernelBuf&) = delete;
+  KernelBuf& operator=(const KernelBuf&) = delete;
+
+  [[nodiscard]] std::uint8_t* data() { return p_; }
+
+ private:
+  using Alloc = mem::PageAlignedAllocator<std::uint8_t>;
+  std::size_t n_;
+  std::uint8_t* p_;
+};
+
 /// Time a loop of `reps` calls to `op` in this rank's thread.
 template <typename F>
 sim::Time timed(mpi::Comm& comm, int reps, F&& op) {
@@ -27,7 +49,7 @@ sim::Time run_test_local(mpi::Comm& comm, Test test, std::size_t bytes,
       // Ranks 0 and 1 (placed on different nodes by the round-robin rank
       // layout) bounce one message; everyone else idles.
       if (r > 1) return 0;
-      mem::Buffer buf(n);
+      KernelBuf buf(n);
       return timed(comm, reps, [&](int) {
         if (r == 0) {
           comm.send(buf.data(), bytes, 1, 1);
@@ -41,7 +63,7 @@ sim::Time run_test_local(mpi::Comm& comm, Test test, std::size_t bytes,
     case Test::PingPing: {
       if (r > 1) return 0;
       const int peer = 1 - r;
-      mem::Buffer sbuf(n), rbuf(n);
+      KernelBuf sbuf(n), rbuf(n);
       return timed(comm, reps, [&](int) {
         core::Request* rx = comm.irecv(rbuf.data(), bytes, peer, 3);
         core::Request* tx = comm.isend(sbuf.data(), bytes, peer, 3);
@@ -53,7 +75,7 @@ sim::Time run_test_local(mpi::Comm& comm, Test test, std::size_t bytes,
       // Periodic chain: send right, receive from left.
       const int right = (r + 1) % p;
       const int left = (r - 1 + p) % p;
-      mem::Buffer sbuf(n), rbuf(n);
+      KernelBuf sbuf(n), rbuf(n);
       return timed(comm, reps, [&](int) {
         comm.sendrecv(sbuf.data(), bytes, right, rbuf.data(), bytes, left, 4);
       });
@@ -61,7 +83,7 @@ sim::Time run_test_local(mpi::Comm& comm, Test test, std::size_t bytes,
     case Test::Exchange: {
       const int right = (r + 1) % p;
       const int left = (r - 1 + p) % p;
-      mem::Buffer sbuf(n), r1(n), r2(n);
+      KernelBuf sbuf(n), r1(n), r2(n);
       return timed(comm, reps, [&](int) {
         core::Request* a = comm.irecv(r1.data(), bytes, left, 5);
         core::Request* b = comm.irecv(r2.data(), bytes, right, 6);
@@ -92,29 +114,29 @@ sim::Time run_test_local(mpi::Comm& comm, Test test, std::size_t bytes,
                    [&](int) { comm.reduce_scatter(buf.data(), per); });
     }
     case Test::Allgather: {
-      mem::Buffer sbuf(n);
-      mem::Buffer rbuf(n * static_cast<std::size_t>(p));
+      KernelBuf sbuf(n);
+      KernelBuf rbuf(n * static_cast<std::size_t>(p));
       return timed(comm, reps, [&](int) {
         comm.allgather(sbuf.data(), bytes, rbuf.data());
       });
     }
     case Test::Allgatherv: {
-      mem::Buffer sbuf(n);
-      mem::Buffer rbuf(n * static_cast<std::size_t>(p));
+      KernelBuf sbuf(n);
+      KernelBuf rbuf(n * static_cast<std::size_t>(p));
       const std::vector<std::size_t> lens(static_cast<std::size_t>(p), bytes);
       return timed(comm, reps, [&](int) {
         comm.allgatherv(sbuf.data(), bytes, lens, rbuf.data());
       });
     }
     case Test::Alltoall: {
-      mem::Buffer sbuf(n * static_cast<std::size_t>(p));
-      mem::Buffer rbuf(n * static_cast<std::size_t>(p));
+      KernelBuf sbuf(n * static_cast<std::size_t>(p));
+      KernelBuf rbuf(n * static_cast<std::size_t>(p));
       return timed(comm, reps, [&](int) {
         comm.alltoall(sbuf.data(), bytes, rbuf.data());
       });
     }
     case Test::Bcast: {
-      mem::Buffer buf(n);
+      KernelBuf buf(n);
       return timed(comm, reps,
                    [&](int i) { comm.bcast(buf.data(), bytes, i % p); });
     }

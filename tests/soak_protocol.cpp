@@ -6,7 +6,9 @@
 // Gilbert–Elliott burst loss, DMA descriptor failures and stalls) — and
 // checks four invariants after quiesce:
 //
-//   1. every message delivered exactly once and byte-exact,
+//   1. every message delivered exactly once and byte-exact, although
+//      each sender overwrites its buffer as soon as the send completes
+//      (nothing may read the sender's pages after SendDone),
 //   2. no leaked rx-ring slots or I/OAT-pinned skbuffs,
 //   3. blame_sum() == total_ns for every span (exact attribution
 //      partition, even across retransmissions),
@@ -63,8 +65,9 @@ struct Msg {
   int src = 0;
   int dst = 0;
   std::uint32_t match = 0;
-  std::vector<std::uint8_t> data;  // what the sender transmits
-  std::vector<std::uint8_t> out;   // what the receiver saw
+  std::vector<std::uint8_t> data;    // the sender's buffer
+  std::vector<std::uint8_t> expect;  // what was sent: data before SendDone
+  std::vector<std::uint8_t> out;     // what the receiver saw
   bool send_ok = false;
   bool recv_ok = false;
   std::size_t recv_len = 0;
@@ -178,6 +181,7 @@ RunResult run_one(std::uint64_t seed) {
       m.dst = (m.src + 1) % nnodes;  // mostly remote, occasionally local
     m.match = static_cast<std::uint32_t>(i + 1);
     m.data = pattern(draw_len(rng), seed ^ (i * 0x9e37ULL));
+    m.expect = m.data;
     m.out.assign(m.data.size(), 0);
   }
 
@@ -216,7 +220,12 @@ RunResult run_one(std::uint64_t seed) {
                             m.match));
           }
           post_recvs(true);
-          for (auto& [i, r] : sends) msgs[i].send_ok = !ep.wait(r).failed;
+          for (auto& [i, r] : sends) {
+            msgs[i].send_ok = !ep.wait(r).failed;
+            // SendDone hands the buffer back: reuse it at once, so any
+            // later read of the sender's pages delivers wrong bytes.
+            for (auto& b : msgs[i].data) b = static_cast<std::uint8_t>(~b);
+          }
           for (auto& [i, r] : recvs) {
             const core::Request done = ep.wait(r);
             msgs[i].recv_ok = !done.failed;
@@ -247,9 +256,9 @@ RunResult run_one(std::uint64_t seed) {
     const Msg& m = msgs[i];
     if (!m.send_ok) fail("msg " + std::to_string(i) + " send failed");
     if (!m.recv_ok) fail("msg " + std::to_string(i) + " recv failed");
-    if (m.recv_len != m.data.size())
+    if (m.recv_len != m.expect.size())
       fail("msg " + std::to_string(i) + " short recv");
-    if (m.out != m.data)
+    if (m.out != m.expect)
       fail("msg " + std::to_string(i) + " payload mismatch");
   }
 

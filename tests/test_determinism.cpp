@@ -184,18 +184,35 @@ std::string registry_json(const obs::Registry& reg) {
   return s;
 }
 
+/// Byte k of the message of kind `kind` (0: 64 B, 1: 16 KiB, 2: 256 KiB)
+/// that node `node` sends in iteration `it`.
+std::uint8_t mesh_byte(int it, int node, int kind, std::size_t k) {
+  const auto salt = static_cast<std::size_t>(it * 29 + node * 7 + kind * 61);
+  return static_cast<std::uint8_t>(k * 131 + salt);
+}
+
+void fill_mesh(mem::Buffer& buf, int it, int node, int kind) {
+  for (std::size_t k = 0; k < buf.size(); ++k)
+    buf[k] = mesh_byte(it, node, kind, k);
+}
+
 // Protocol-heavy ring traffic: every node sends eager, multi-fragment
 // eager, and rendezvous-sized messages to its successor; the small
 // receive is posted late (after compute) so the unexpected queue and
-// both protocol paths are exercised on every link.
+// both protocol paths are exercised on every link.  Each send buffer is
+// rewritten with the next iteration's bytes as soon as its wait returns,
+// and every receive is checked against the bytes its sender had before
+// that: a read of the sender's pages after SendDone shows up as a
+// mismatch here, and as a data race under TSan when the two nodes run on
+// different LP workers.
 void spawn_mesh_traffic(core::Cluster& cluster, int nnodes, int iters,
                         std::vector<sim::Time>& finish) {
   struct NodeBufs {
     // Parenthesized construction: Buffer is a std::vector, so braces
     // would mean an initializer list.
-    mem::Buffer s64 = mem::Buffer(64, 1);
-    mem::Buffer s16k = mem::Buffer(16 * sim::KiB, 2);
-    mem::Buffer s256k = mem::Buffer(256 * sim::KiB, 3);
+    mem::Buffer s64 = mem::Buffer(64, 0);
+    mem::Buffer s16k = mem::Buffer(16 * sim::KiB, 0);
+    mem::Buffer s256k = mem::Buffer(256 * sim::KiB, 0);
     mem::Buffer r64 = mem::Buffer(64, 0);
     mem::Buffer r16k = mem::Buffer(16 * sim::KiB, 0);
     mem::Buffer r256k = mem::Buffer(256 * sim::KiB, 0);
@@ -206,11 +223,33 @@ void spawn_mesh_traffic(core::Cluster& cluster, int nnodes, int iters,
 
   for (int i = 0; i < nnodes; ++i) {
     const int next = (i + 1) % nnodes;
+    const int prev = (i + nnodes - 1) % nnodes;
+    NodeBufs& b = (*bufs)[static_cast<std::size_t>(i)];
+    fill_mesh(b.s64, 0, i, 0);
+    fill_mesh(b.s16k, 0, i, 1);
+    fill_mesh(b.s256k, 0, i, 2);
     cluster.spawn(
         cluster.node(static_cast<std::size_t>(i)), 0, "mesh" + std::to_string(i),
-        [&finish, bufs, i, next, iters](Process& p) {
+        [&finish, bufs, i, next, prev, iters](Process& p) {
           Endpoint ep(p, i);
           NodeBufs& b = (*bufs)[static_cast<std::size_t>(i)];
+          // Waits for a send, then reuses its buffer for iteration it+1.
+          auto send_done = [&](core::Request* r, mem::Buffer& buf, int it,
+                               int kind) {
+            ep.wait(r);
+            fill_mesh(buf, it + 1, i, kind);
+          };
+          auto recv_done = [&](core::Request* r, const mem::Buffer& buf,
+                               int it, int kind) {
+            ep.wait(r);
+            for (std::size_t k = 0; k < buf.size(); ++k) {
+              if (buf[k] == mesh_byte(it, prev, kind, k)) continue;
+              ADD_FAILURE() << "node " << i << " iteration " << it
+                            << " kind " << kind << ": byte " << k
+                            << " differs from what node " << prev << " sent";
+              return;
+            }
+          };
           for (int it = 0; it < iters; ++it) {
             const std::uint64_t tag = static_cast<std::uint64_t>(it) * 8;
             // Large + medium receives posted up front...
@@ -227,12 +266,12 @@ void spawn_mesh_traffic(core::Cluster& cluster, int nnodes, int iters,
             core::Request* r64 = ep.irecv(b.r64.data(), 64, tag + 1);
             core::Request* s16k = ep.isend(b.s16k.data(), 16 * sim::KiB,
                                            Addr{next, static_cast<std::uint16_t>(next)}, tag + 2);
-            ep.wait(s64);
-            ep.wait(s16k);
-            ep.wait(s256k);
-            ep.wait(r64);
-            ep.wait(r16k);
-            ep.wait(r256k);
+            send_done(s64, b.s64, it, 0);
+            send_done(s16k, b.s16k, it, 1);
+            send_done(s256k, b.s256k, it, 2);
+            recv_done(r64, b.r64, it, 0);
+            recv_done(r16k, b.r16k, it, 1);
+            recv_done(r256k, b.r256k, it, 2);
           }
           finish[static_cast<std::size_t>(i)] = p.now();
         });

@@ -5,6 +5,8 @@
 // retransmit/dedup/fallback counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -252,6 +254,49 @@ TEST(Fault, DmaChannelStallDelaysButDelivers) {
   ASSERT_TRUE(transfer(f, 256 * sim::KiB, src, dst));
   EXPECT_EQ(dst, src);
   EXPECT_EQ(f.n1().ioat().counters().get("ioat.stalls"), 8u);
+  testutil::expect_no_leaks(f.cluster);
+}
+
+TEST(Fault, PullAbortWaitsForQueuedDescriptors) {
+  core::OmxConfig cfg = fast_retrans();
+  cfg.ioat_large = true;
+  cfg.max_retries = 2;
+  Net2 f(cfg);
+  fault::Plan plan(11);
+  // Only the first reply gets through, and its descriptor stalls for far
+  // longer than the pull takes to exhaust its retries (about 300 us).
+  const sim::Time stall = 2 * sim::kMillisecond;
+  plan.drop_nth(fault::Match::PullReply, 1,
+                std::numeric_limits<std::uint64_t>::max());
+  plan.stall_channel(/*chan=*/-1, /*from=*/0, /*count=*/1, stall);
+  f.cluster.network().set_fault_injector(&plan);
+  f.n1().ioat().set_fault_injector(&plan);
+  const std::size_t len = 256 * sim::KiB;
+  auto src = pattern(len);
+  std::vector<std::uint8_t> dst(len, 0);
+  bool send_failed = false, recv_failed = false;
+  sim::Time failed_at = 0;
+  f.cluster.spawn(f.n0(), 0, "s", [&](core::Process& p) {
+    core::Endpoint ep(p, 0);
+    send_failed = ep.wait(ep.isend(src.data(), len, {1, 1}, 1)).failed;
+  });
+  f.cluster.spawn(f.n1(), 0, "r", [&](core::Process& p) {
+    core::Endpoint ep(p, 1);
+    recv_failed = ep.wait(ep.irecv(dst.data(), len, 1)).failed;
+    failed_at = p.now();
+    // The request is over, so the buffer is the application's again.
+    std::fill(dst.begin(), dst.end(), std::uint8_t{0xEE});
+  });
+  f.cluster.run();
+  EXPECT_TRUE(send_failed);
+  EXPECT_TRUE(recv_failed);
+  EXPECT_EQ(f.n1().driver().counters().get("driver.aborted_pulls"), 1u);
+  EXPECT_EQ(f.n1().ioat().counters().get("ioat.stalls"), 1u);
+  EXPECT_GE(failed_at, stall);
+  // The queued descriptor ran before the failure was reported, so it
+  // cannot have overwritten what the application wrote afterwards.
+  EXPECT_EQ(std::count(dst.begin(), dst.end(), std::uint8_t{0xEE}),
+            static_cast<std::ptrdiff_t>(len));
   testutil::expect_no_leaks(f.cluster);
 }
 

@@ -115,6 +115,7 @@ TEST(Protocol, ChecksumCoversEveryHeaderFieldAndNoPayloadByte) {
       [](auto& p) { p.dst_handle ^= 1; },
       [](auto& p) { p.frag_idx ^= 1; },
       [](auto& p) { p.offset ^= 1; },
+      [](auto& p) { p.length ^= 1; },
   });
   expect_checksum_covers<core::MsgAckPkt>({
       [](auto& p) { p.msg_seq ^= 1; },

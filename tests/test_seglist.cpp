@@ -3,6 +3,8 @@
 // sub-kilobyte chunks must not be offloaded to I/OAT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -128,6 +130,19 @@ TEST(SegList, PiecePairsIntersect) {
   EXPECT_EQ(out, data);
 }
 
+TEST(SegList, ContiguousOnlyInsideOneSegment) {
+  std::vector<std::uint8_t> a(8), b(8);
+  const core::IoVec segs[] = {{a.data(), 8}, {b.data(), 8}};
+  core::SegList s(segs, 2);
+  EXPECT_EQ(s.contiguous(0, 8), a.data());
+  EXPECT_EQ(s.contiguous(3, 5), a.data() + 3);
+  EXPECT_EQ(s.contiguous(8, 8), b.data());
+  EXPECT_EQ(s.contiguous(10, 6), b.data() + 2);
+  EXPECT_EQ(s.contiguous(5, 6), nullptr);   // straddles a|b
+  EXPECT_EQ(s.contiguous(12, 8), nullptr);  // runs past the end
+  EXPECT_EQ(s.contiguous(16, 1), nullptr);
+}
+
 // ----- vectorial messaging end to end -----
 
 struct VecCase {
@@ -249,4 +264,101 @@ TEST(Vectorial, LocalVectorialCopy) {
   });
   cluster.run();
   EXPECT_EQ(dst, srcdata);
+}
+
+// ----- zero-copy pull replies: what the wire carries -----
+
+namespace {
+
+/// Records every PullReply frame on the wire and leaves all frames alone.
+struct ReplyTap : openmx::net::FaultInjector {
+  std::vector<std::shared_ptr<const core::PullReplyPkt>> replies;
+  openmx::net::FaultDecision on_transmit(
+      const openmx::net::Frame& f) override {
+    auto rep = std::dynamic_pointer_cast<const core::PullReplyPkt>(f.payload);
+    if (rep) replies.push_back(std::move(rep));
+    return {};
+  }
+};
+
+/// Pulls `msg` bytes sent as `ssegs` into one contiguous buffer with
+/// I/OAT offload on, and returns every PullReply the sender put on the
+/// wire.  The delivery must be byte-exact.
+std::vector<std::shared_ptr<const core::PullReplyPkt>> pull_through_tap(
+    const std::vector<core::IoVec>& ssegs,
+    const std::vector<std::uint8_t>& expect) {
+  core::OmxConfig cfg;
+  cfg.ioat_large = true;
+  core::Cluster cluster;
+  cluster.add_nodes(2, cfg);
+  ReplyTap tap;
+  cluster.network().set_fault_injector(&tap);
+  std::vector<std::uint8_t> dst(expect.size(), 0);
+  cluster.spawn(cluster.node(0), 0, "s", [&](core::Process& p) {
+    core::Endpoint ep(p, 0);
+    EXPECT_FALSE(
+        ep.wait(ep.isendv(ssegs.data(), ssegs.size(), {1, 1}, 9)).failed);
+  });
+  cluster.spawn(cluster.node(1), 0, "r", [&](core::Process& p) {
+    core::Endpoint ep(p, 1);
+    EXPECT_FALSE(ep.wait(ep.irecv(dst.data(), dst.size(), 9)).failed);
+  });
+  cluster.run();
+  EXPECT_EQ(dst, expect);
+  EXPECT_GT(cluster.node(1).driver().counters().get("driver.large_ioat_bytes"),
+            0u);
+  return std::move(tap.replies);
+}
+
+}  // namespace
+
+TEST(ZeroCopyPull, ContiguousSendRepliesReferenceTheSendBuffer) {
+  const std::size_t msg = 256 * sim::KiB;
+  auto src = pattern(msg);
+  const auto replies = pull_through_tap({{src.data(), msg}}, src);
+  ASSERT_EQ(replies.size(), msg / 4096);
+  for (const auto& r : replies) {
+    EXPECT_EQ(r->length, 4096u);
+    EXPECT_EQ(r->pages, src.data() + r->offset) << "frag " << r->frag_idx;
+    EXPECT_TRUE(r->data.empty()) << "frag " << r->frag_idx;
+    EXPECT_EQ(r->bytes(), r->pages);
+  }
+}
+
+TEST(ZeroCopyPull, OnlyStraddlingFragmentsAreGathered) {
+  const std::size_t msg = 256 * sim::KiB;
+  auto check = [&](const std::vector<std::uint8_t>& src,
+                   const std::vector<core::IoVec>& ssegs,
+                   std::size_t want_gathered) {
+    std::vector<std::size_t> bounds;  // segment ends, as message offsets
+    std::size_t pos = 0;
+    for (const core::IoVec& v : ssegs) bounds.push_back(pos += v.len);
+    const auto replies = pull_through_tap(ssegs, src);
+    ASSERT_EQ(replies.size(), msg / 4096);
+    std::size_t gathered = 0;
+    for (const auto& r : replies) {
+      const std::size_t lo = r->offset, hi = lo + r->length;
+      const bool straddles =
+          std::any_of(bounds.begin(), bounds.end(),
+                      [&](std::size_t b) { return b > lo && b < hi; });
+      if (!straddles) {
+        EXPECT_EQ(r->pages, src.data() + lo) << "frag " << r->frag_idx;
+        EXPECT_TRUE(r->data.empty()) << "frag " << r->frag_idx;
+        continue;
+      }
+      ++gathered;
+      EXPECT_EQ(r->pages, nullptr) << "frag " << r->frag_idx;
+      ASSERT_EQ(r->data.size(), r->length);
+      EXPECT_TRUE(std::equal(r->data.begin(), r->data.end(),
+                             src.begin() + static_cast<std::ptrdiff_t>(lo)))
+          << "frag " << r->frag_idx;
+    }
+    EXPECT_EQ(gathered, want_gathered);
+  };
+  // 777-byte segments put a boundary inside every 4 KiB fragment.
+  auto a = pattern(msg, 5);
+  check(a, split(a, 777), msg / 4096);
+  // A 777-byte head in front of one big segment straddles fragment 0 only.
+  auto b = pattern(msg, 6);
+  check(b, {{b.data(), 777}, {b.data() + 777, msg - 777}}, 1);
 }
